@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload bench-json bench-dse-json bench-compiled bench-islands bench-workload vet lint check figures
+.PHONY: build test test-fault test-checkpoint test-equiv fuzz test-dse test-daemon test-coordinator test-workload bench-json bench-dse-json bench-compiled bench-islands bench-workload vet lint check figures
 
 build:
 	$(GO) build ./...
@@ -37,18 +37,26 @@ test-checkpoint:
 # engine x parallel-islands engine at K in {1,2,4,NumCPU} — all topology
 # kinds x routing modes, interpreted and compiled, x interleavings x
 # fault schedules), cross-engine checkpoint interchange (islands
-# snapshots resume under active and vice versa), the island-partition
-# invariant seed corpus, and the islands GOMAXPROCS determinism golden
-# test (the islands barrier is the first intra-run concurrency in the
-# core engine, so the whole matrix runs -race); then the zero-alloc and
-# active-set invariant tests without it (AllocsPerRun is meaningless
-# under -race), and 30-second runs of the engine-equivalence and
-# island-partition fuzz targets. The CompiledEngineEquivalence and
-# CompiledRefusesUncertified tests match the EngineEquivalence pattern
-# by substring.
+# snapshots resume under active and vice versa), the in-package engine
+# table (active and islands K in {1,2,3}, traced and untraced, against
+# the reference), the seed corpora of the engine-equivalence and
+# island-partition fuzz targets (the -run pattern matches both), and the
+# islands GOMAXPROCS determinism golden test (the islands barrier is the
+# first intra-run concurrency in the core engine, so the whole matrix
+# runs -race); then the zero-alloc and active-set invariant tests without
+# it (AllocsPerRun is meaningless under -race). Nothing here searches,
+# so a red gate reproduces on re-run. The CompiledEngineEquivalence and
+# CompiledRefusesUncertified tests match the EngineEquivalence pattern by
+# substring.
 test-equiv:
 	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ResetBitIdentical|ActiveSetMatchesReference|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism' . ./internal/router
 	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|ResetRestores|AuditCredits' ./internal/router
+
+# fuzz runs 30-second coverage-guided searches of the engine-equivalence
+# and island-partition fuzz targets. It is not part of check: a random
+# search can turn red on one run and green on the next, so a failure it
+# finds is committed to testdata/fuzz and replayed by test-equiv.
+fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 30s -run FuzzEngineEquivalence .
 	$(GO) test -fuzz FuzzIslandPartition -fuzztime 30s -run FuzzIslandPartition .
 

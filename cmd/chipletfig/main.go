@@ -247,6 +247,9 @@ func campaignMain(scale experiments.Scale, want map[string]bool, outDir, journal
 		fatalf("%v", err)
 	}
 	defer j.Close()
+	if q := j.Quarantined(); q > 0 {
+		fmt.Fprintf(os.Stderr, "chipletfig: journal: quarantined %d corrupt lines to %s.rej; their tasks re-run\n", q, journalPath)
+	}
 
 	start := time.Now()
 	byFigure, campErr := runCampaign(tasks, j, cc)

@@ -1,11 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+
+	"chipletnet/internal/jsonl"
 )
 
 // Journal entry statuses.
@@ -27,48 +29,49 @@ type JournalEntry struct {
 
 // Journal is a crash-safe record of campaign progress: an append-only
 // JSONL file with one entry per completed or abandoned task, fsynced
-// after every record. A process killed mid-write leaves at most one
-// truncated final line, which the loader tolerates; a later entry for a
-// key overrides an earlier one, so retried tasks simply append.
+// after every record. It is loaded through internal/jsonl like every
+// store in the repository: a truncated final line (crash mid-append) is
+// dropped and a corrupt interior line is quarantined to a .rej sidecar,
+// so its task simply re-runs on resume. A later entry for a key
+// overrides an earlier one, so retried tasks simply append.
 //
 // Record is safe for concurrent use; the campaign supervisor calls it
 // from its worker pool.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	entries map[string]JournalEntry
+	mu          sync.Mutex
+	f           *os.File
+	entries     map[string]JournalEntry
+	quarantined int
 }
 
 // OpenJournal opens (creating if needed) the journal at path and loads
-// its existing entries. A truncated final line — the signature of a
-// crash mid-append — is discarded; any earlier malformed line is
-// reported as corruption.
+// its existing entries, repairing the file as described on Journal.
 func OpenJournal(path string) (*Journal, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
 	entries := map[string]JournalEntry{}
-	lines := bytes.Split(data, []byte("\n"))
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	quarantined, err := jsonl.Load(path, func(line []byte) error {
 		var e JournalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			if i == len(lines)-1 {
-				break // interrupted final append
-			}
-			return nil, fmt.Errorf("experiments: journal %s line %d: %w", path, i+1, err)
+			return err
+		}
+		if e.Key == "" {
+			return errors.New("experiments: journal line without key")
 		}
 		entries[e.Key] = e
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: journal %s: %w", path, err)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, entries: entries}, nil
+	return &Journal{f: f, entries: entries, quarantined: quarantined}, nil
 }
+
+// Quarantined returns how many corrupt lines OpenJournal moved to the
+// .rej sidecar.
+func (j *Journal) Quarantined() int { return j.quarantined }
 
 // Record appends one entry and syncs it to disk before returning, so a
 // crash immediately after a task finishes cannot lose its outcome.

@@ -101,15 +101,46 @@ func TestJournalTruncatedLastLine(t *testing.T) {
 }
 
 // TestJournalCorruptMiddle: garbage before the final line is real
-// corruption, not a crash signature, and must be reported.
+// corruption, not a crash signature. It is quarantined to the .rej
+// sidecar, the entries around it still load, and the repaired file
+// re-opens without quarantining anything.
 func TestJournalCorruptMiddle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	data := `{"Key":"a","Status":"done"}` + "\ngarbage\n" + `{"Key":"b","Status":"done"}` + "\n"
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path); err == nil {
-		t.Error("mid-file corruption not reported")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("mid-file corruption must be quarantined, not fatal: %v", err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if _, ok := j.Done(key); !ok {
+			t.Errorf("entry %s lost around the corrupt line", key)
+		}
+	}
+	if q := j.Quarantined(); q != 1 {
+		t.Errorf("Quarantined() = %d, want 1", q)
+	}
+	j.Close()
+	rej, err := os.ReadFile(path + ".rej")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rej) != "garbage\n" {
+		t.Errorf(".rej sidecar holds %q, want the garbage line", rej)
+	}
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if q := j2.Quarantined(); q != 0 {
+		t.Errorf("re-open quarantined %d lines; the repair must leave a clean file", q)
+	}
+	if _, ok := j2.Done("b"); !ok {
+		t.Error("entry b lost by the repair")
 	}
 }
 

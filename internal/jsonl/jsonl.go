@@ -1,7 +1,9 @@
 // Package jsonl is the shared loader for the repository's append-only
-// JSONL stores (the DSE evaluation cache shards, the daemon job journal).
-// All of them follow the same crash-safety idiom — append one line, fsync,
-// return — so they share one damage model and one repair:
+// JSONL stores (the DSE evaluation cache shards, the daemon job journal,
+// the coordinator lease journal, the experiment campaign journal) and
+// for imported external traces. The stores follow the same crash-safety
+// idiom — append one line, fsync, return — so they share one damage
+// model and one repair:
 //
 //   - A final line without a trailing newline is the signature of a crash
 //     mid-append. The entry was never acknowledged, so it is dropped.
@@ -11,9 +13,10 @@
 //     entry after the first bad line — the bad lines are quarantined to a
 //     `<file>.rej` sidecar and loading continues with the later entries.
 //
-// After quarantine the store file is rewritten atomically (temp file +
-// rename, the internal/checkpoint idiom) containing only the valid lines,
-// so appends resume on a clean file and a re-open quarantines nothing.
+// After quarantine the store file is rewritten atomically (Rewrite: temp
+// file + sync + rename, the internal/checkpoint idiom) containing only
+// the valid lines, so appends resume on a clean file and a re-open
+// quarantines nothing. Stores that compact themselves use Rewrite too.
 package jsonl
 
 import (
@@ -69,7 +72,7 @@ func Load(path string, accept func(line []byte) error) (quarantined int, err err
 		}
 	}
 	if quarantined > 0 || torn {
-		if err := rewrite(path, valid); err != nil {
+		if err := Rewrite(path, valid); err != nil {
 			return quarantined, fmt.Errorf("jsonl: repairing %s: %w", path, err)
 		}
 	}
@@ -121,11 +124,11 @@ func quarantine(path string, lines [][]byte) error {
 	return f.Close()
 }
 
-// rewrite atomically replaces path with the given lines: the bytes go to
+// Rewrite atomically replaces path with the given lines: the bytes go to
 // a temp file in the same directory, are synced, and renamed over path,
 // so a crash mid-repair leaves either the damaged original (repaired
 // again on the next open) or the clean result — never a half-rewrite.
-func rewrite(path string, lines [][]byte) error {
+func Rewrite(path string, lines [][]byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

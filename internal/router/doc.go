@@ -24,6 +24,13 @@
 //     flits/credits, ejections, and fault-log appends are exchanged
 //     through deterministic per-edge mailboxes and ordered drains at
 //     per-cycle barriers (see islands.go for the full argument).
+//     Single-island partitions and traced runs step the islands one
+//     after another on the caller's goroutine instead.
+//
+// stepActive and stepIslands share one implementation of each phase
+// over a bitmap — deliverLinks, allocate and transmit (engine.go) — and
+// differ only in which bitmaps they pass. stepReference shares nothing:
+// an oracle that ran the same walk could not catch a bug in it.
 //
 // The contract is that the engines are OBSERVATIONALLY IDENTICAL:
 // started from the same state and fed the same injections, they produce
@@ -65,8 +72,8 @@
 // (deferred-ejection drains in ascending router order; Rel-protected
 // links and their routers processed on the coordinator in ascending
 // index order) and makes the third commutative (wakes are idempotent
-// bit-sets in per-island or atomic bitmaps), so the parallel schedule
-// is unobservable.
+// bit-sets in bitmaps each written by one island only), so the parallel
+// schedule is unobservable.
 //
 // The active sets are derived state: Snapshot does not record them and
 // Restore/Reset rebuild them (rebuildActive), so checkpoint files are

@@ -30,11 +30,12 @@ func (f *Fabric) wakeRouter(r *Router) {
 }
 
 // wakeLink marks l live for the cycle engine (idempotent, O(1)).
-// Called by Link.push and Link.returnCredit whenever traffic enters the
-// link's pipelines.
-func (f *Fabric) wakeLink(l *Link) {
+// Called by Link.push (from = l.Src) and Link.returnCredit (from = l.Dst)
+// whenever traffic enters the link's pipelines; the islands engine files
+// the wake under from's island.
+func (f *Fabric) wakeLink(l *Link, from *Router) {
 	if f.isl != nil {
-		f.isl.wakeLink(l)
+		f.isl.wakeLink(l, from)
 		return
 	}
 	f.linkActive[l.ID>>6] |= 1 << uint(l.ID&63)
@@ -47,14 +48,27 @@ func (f *Fabric) wakeLink(l *Link) {
 func (f *Fabric) stepActive() {
 	f.Now++
 	now := f.Now
-	moved := false
+	moved := f.deliverLinks(f.linkActive, now)
+	f.allocate(f.routerActive, now)
+	if f.transmit(f.routerActive, nil, now) {
+		moved = true
+	}
+	f.finishStep(now, moved)
+}
 
-	// Phase 1: link delivery, ascending link index. Delivering can wake
-	// routers (flit arrival starts a head pipeline) but never another
-	// link, so a snapshot of each word is safe to iterate. A link whose
-	// pipelines drained completely leaves the active set; push and
-	// returnCredit re-add it.
-	for wi, w := range f.linkActive {
+// The three phase walks below are the only code that runs a phase over
+// an active set; stepActive calls them on the fabric's bitmaps and
+// stepIslands on each island's. Each visits the set bits of act in
+// ascending index order — the reference order — and clears the bit of a
+// component left with nothing to do.
+
+// deliverLinks is phase 1, link delivery. Delivering can wake routers
+// (flit arrival starts a head pipeline) but never another link, so a
+// snapshot of each word is safe to iterate. A link whose pipelines
+// drained completely leaves the set; push and returnCredit re-add it.
+func (f *Fabric) deliverLinks(act []uint64, now int64) bool {
+	moved := false
+	for wi, w := range act {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
@@ -63,29 +77,38 @@ func (f *Fabric) stepActive() {
 				moved = true
 			}
 			if !l.pendingWork() {
-				f.linkActive[wi] &^= 1 << uint(b)
+				act[wi] &^= 1 << uint(b)
 			}
 		}
 	}
+	return moved
+}
 
-	// Phase 2: VC allocation, ascending router index. Granting a VC
-	// never wakes another router, so the phase sees a stable active set.
-	// Routers stay in the set here even if only grants remain — phase 3
-	// decides departure.
-	for wi, w := range f.routerActive {
+// allocate is phase 2, VC allocation. Granting a VC never wakes another
+// router, so the phase sees a stable set. Routers stay in the set here
+// even if only grants remain — transmit decides departure.
+func (f *Fabric) allocate(act []uint64, now int64) {
+	for wi, w := range act {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
 			f.Routers[wi<<6|b].vcAllocate(now)
 		}
 	}
+}
 
-	// Phase 3: switch allocation + transmission, ascending router index
-	// (delivery order feeds float accumulators in the stats collector —
-	// order is observable). Transfers wake links and possibly the
-	// router's own next head, never a different router. A router with no
-	// waiting heads and no grants left has every VC idle and departs.
-	for wi, w := range f.routerActive {
+// transmit is phase 3, switch allocation and transmission, for the
+// routers of act not set in skip (nil skips none; skipped bits stay
+// set). Ascending order is observable: delivery feeds float accumulators
+// in the stats collector. Transfers wake links and possibly the router's
+// own next head, never a different router. A router with no waiting
+// heads and no grants left has every VC idle and leaves the set.
+func (f *Fabric) transmit(act, skip []uint64, now int64) bool {
+	moved := false
+	for wi, w := range act {
+		if skip != nil {
+			w &^= skip[wi]
+		}
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
@@ -94,12 +117,11 @@ func (f *Fabric) stepActive() {
 				moved = true
 			}
 			if !r.busy() {
-				f.routerActive[wi] &^= 1 << uint(b)
+				act[wi] &^= 1 << uint(b)
 			}
 		}
 	}
-
-	f.finishStep(now, moved)
+	return moved
 }
 
 // rebuildActive reconstructs the active sets and the per-router grants
@@ -107,12 +129,8 @@ func (f *Fabric) stepActive() {
 // state — they are deliberately not checkpointed; Restore calls this
 // after laying snapshot state onto the fabric.
 func (f *Fabric) rebuildActive() {
-	for i := range f.routerActive {
-		f.routerActive[i] = 0
-	}
-	for i := range f.linkActive {
-		f.linkActive[i] = 0
-	}
+	clear(f.routerActive)
+	clear(f.linkActive)
 	if f.isl != nil {
 		// Island bitmaps and the link classification are derived state
 		// too: zero them and reclassify before any wake routes a bit, so
@@ -132,7 +150,7 @@ func (f *Fabric) rebuildActive() {
 	}
 	for _, l := range f.Links {
 		if l.pendingWork() {
-			f.wakeLink(l)
+			f.wakeLink(l, l.Src)
 		}
 	}
 }
@@ -193,12 +211,8 @@ func (f *Fabric) Reset() {
 		l.Carried = 0
 		l.Rel = nil
 	}
-	for i := range f.routerActive {
-		f.routerActive[i] = 0
-	}
-	for i := range f.linkActive {
-		f.linkActive[i] = 0
-	}
+	clear(f.routerActive)
+	clear(f.linkActive)
 	if f.isl != nil {
 		f.isl.reset()
 	}

@@ -13,21 +13,86 @@ type delivery struct {
 	at int64
 }
 
+// engine selects a cycle engine for the in-package tests: the reference
+// stepper, the active-set engine, or the islands engine with the given
+// island count over one-router chiplets (chipletOf[i] = i).
+type engine struct {
+	name    string
+	ref     bool
+	islands int
+}
+
+func (e engine) apply(f *Fabric) {
+	f.UseReference = e.ref
+	if e.islands > 0 {
+		chipletOf := make([]int, len(f.Routers))
+		for i := range chipletOf {
+			chipletOf[i] = i
+		}
+		f.EnableIslands(e.islands, chipletOf)
+	}
+}
+
+var (
+	refEngine    = engine{name: "reference", ref: true}
+	activeEngine = engine{name: "active"}
+)
+
+// eventLog is a recording Tracer (and fault-log stand-in): every event
+// as one line, in call order.
+type eventLog []string
+
+func (l *eventLog) add(format string, args ...any) { *l = append(*l, fmt.Sprintf(format, args...)) }
+
+func (l *eventLog) PacketInjected(p *packet.Packet, node int, now int64) {
+	l.add("inject %d at %d t%d", p.ID, node, now)
+}
+
+func (l *eventLog) FlitsMoved(p *packet.Packet, from, to, vc, n int, head bool, now int64) {
+	l.add("move %d %d->%d vc%d n%d head=%v t%d", p.ID, from, to, vc, n, head, now)
+}
+
+func (l *eventLog) PacketDelivered(p *packet.Packet, now int64) {
+	l.add("deliver %d t%d", p.ID, now)
+}
+
 // driveLine runs a fixed deterministic workload (bursty injections from
-// several sources) on a freshly built line fabric and returns the full
-// delivery trace. useRef selects the engine.
-func driveLine(useRef bool) ([]delivery, *Fabric) {
+// several sources) on a freshly built line fabric under engine e and
+// returns the full delivery trace plus the event log. Links 1 and 3 run
+// the reliability protocol, attached after the engine is selected (as the
+// fault engine does after Build), with a deterministic corruption source
+// whose calls are logged; traced also attaches the log as the Tracer.
+func driveLine(e engine, traced bool) ([]delivery, eventLog, *Fabric) {
 	f := buildLine(6, 2, 32, 2, 3)
-	f.UseReference = useRef
+	e.apply(f)
 	var trace []delivery
+	var events eventLog
 	f.Sink = func(p *packet.Packet, now int64) { trace = append(trace, delivery{p.ID, now}) }
+	if traced {
+		f.Tracer = &events
+	}
+	for _, id := range []int{1, 3} {
+		f.Links[id].Rel = &LinkRel{Timeout: 28, BackoffMax: 64, Corrupt: func(now int64, n int) int {
+			events.add("corrupt-draw link %d t%d n%d", id, now, n)
+			if now%9 == 0 {
+				return 1
+			}
+			return 0
+		}}
+	}
+	f.CreditAudit = true
 	id := uint64(0)
 	for cy := int64(1); cy <= 600; cy++ {
-		// A deterministic, bursty pattern touching several sources and
-		// packet lengths (including multi-packet bursts in one cycle).
+		// A deterministic, bursty pattern touching several sources,
+		// destinations and packet lengths (including multi-packet bursts
+		// in one cycle and ejections at the Rel-owning router 1).
 		if cy%7 == 0 {
 			id++
 			f.Routers[0].Inject(mkPacket(id, 0, 5, 32, cy), cy)
+		}
+		if cy%11 == 0 {
+			id++
+			f.Routers[0].Inject(mkPacket(id, 0, 1, 8, cy), cy)
 		}
 		if cy%13 == 0 {
 			id++
@@ -44,83 +109,115 @@ func driveLine(useRef bool) ([]delivery, *Fabric) {
 	for f.InFlight() > 0 && f.Now < 5000 {
 		f.Step()
 	}
-	return trace, f
+	return trace, events, f
 }
 
 // TestActiveSetMatchesReference is the package-level differential check:
-// the active-set engine and the reference stepper must produce the exact
-// same delivery trace (IDs and cycles) and final fabric state on a
-// shared workload. The full-system matrix lives at the module root
-// (engine_equiv_test.go); this is the fast inner guard.
+// the active-set engine and the islands engine at K = 1, 2, 3 — with and
+// without a recording Tracer — must produce the exact same delivery trace
+// (IDs and cycles), Tracer and corruption-draw event sequence, and final
+// fabric state as the reference stepper on a shared workload. The
+// full-system matrix lives at the module root (engine_equiv_test.go);
+// this is the fast inner guard.
 func TestActiveSetMatchesReference(t *testing.T) {
-	ref, fRef := driveLine(true)
-	act, fAct := driveLine(false)
-	if len(ref) != len(act) {
-		t.Fatalf("reference delivered %d packets, active %d", len(ref), len(act))
-	}
-	for i := range ref {
-		if ref[i] != act[i] {
-			t.Fatalf("delivery %d: reference %+v, active %+v", i, ref[i], act[i])
+	for _, traced := range []bool{false, true} {
+		ref, refEvents, fRef := driveLine(refEngine, traced)
+		if fRef.InFlight() != 0 {
+			t.Fatal("reference workload did not drain")
 		}
-	}
-	if fRef.Now != fAct.Now {
-		t.Errorf("final cycle: reference %d, active %d", fRef.Now, fAct.Now)
-	}
-	if fRef.BufferedFlits() != fAct.BufferedFlits() || fRef.InFlight() != fAct.InFlight() {
-		t.Errorf("final occupancy differs: ref %d flits/%d in flight, active %d/%d",
-			fRef.BufferedFlits(), fRef.InFlight(), fAct.BufferedFlits(), fAct.InFlight())
+		for _, e := range []engine{activeEngine, {"islands-1", false, 1}, {"islands-2", false, 2}, {"islands-3", false, 3}} {
+			t.Run(fmt.Sprintf("%s/traced=%v", e.name, traced), func(t *testing.T) {
+				got, events, f := driveLine(e, traced)
+				if fmt.Sprint(got) != fmt.Sprint(ref) {
+					t.Fatalf("delivery trace differs from the reference\n got %v\nwant %v", got, ref)
+				}
+				if len(events) != len(refEvents) {
+					t.Fatalf("%d events, reference %d", len(events), len(refEvents))
+				}
+				for i := range events {
+					if events[i] != refEvents[i] {
+						t.Fatalf("event %d: %q, reference %q", i, events[i], refEvents[i])
+					}
+				}
+				if f.Now != fRef.Now {
+					t.Errorf("final cycle %d, reference %d", f.Now, fRef.Now)
+				}
+				if f.BufferedFlits() != fRef.BufferedFlits() || f.InFlight() != fRef.InFlight() {
+					t.Errorf("final occupancy %d flits/%d in flight, reference %d/%d",
+						f.BufferedFlits(), f.InFlight(), fRef.BufferedFlits(), fRef.InFlight())
+				}
+				if _, serial := f.IslandLayout(); serial != nil && (!serial[1] || !serial[3]) {
+					t.Errorf("Rel-protected links not exchanged serially: %v", serial)
+				}
+			})
+		}
 	}
 }
 
 // TestDrainedFabricLeavesActiveSets verifies the active-set invariant
 // from the other side: once traffic drains, every router and link must
 // have left the work-lists (an idle fabric cycle costs O(words), not
-// O(components)).
+// O(components)). Under the islands engine ActiveSets is the union of
+// the per-island, serial and per-island serial-wake sets, so no bit of
+// any of them may remain.
 func TestDrainedFabricLeavesActiveSets(t *testing.T) {
-	_, f := driveLine(false)
-	if f.InFlight() != 0 {
-		t.Fatal("workload did not drain")
-	}
-	// In-flight credits outlive the last delivery by the link latency;
-	// a few extra steps retire them and prune the just-emptied entries.
-	runCycles(f, 16)
-	for i, w := range f.routerActive {
-		if w != 0 {
-			t.Errorf("routerActive[%d] = %b after drain", i, w)
-		}
-	}
-	for i, w := range f.linkActive {
-		if w != 0 {
-			t.Errorf("linkActive[%d] = %b after drain", i, w)
-		}
+	for _, e := range []engine{activeEngine, {"islands-2", false, 2}} {
+		t.Run(e.name, func(t *testing.T) {
+			_, _, f := driveLine(e, false)
+			if f.InFlight() != 0 {
+				t.Fatal("workload did not drain")
+			}
+			// In-flight credits and acks outlive the last delivery by the
+			// link latency; a few extra steps retire them and prune the
+			// just-emptied entries.
+			runCycles(f, 16)
+			routers, links := f.ActiveSets()
+			for i, w := range routers {
+				if w != 0 {
+					t.Errorf("router active set word %d = %b after drain", i, w)
+				}
+			}
+			for i, w := range links {
+				if w != 0 {
+					t.Errorf("link active set word %d = %b after drain", i, w)
+				}
+			}
+		})
 	}
 }
 
 // TestStepSteadyStateZeroAlloc enforces the zero-alloc policy from
-// doc.go: advancing a warmed-up fabric under load must not allocate.
-// AllocsPerRun is unreliable under the race detector, so the assertion
-// is skipped there (the equivalence suites still run).
+// doc.go: advancing a warmed-up fabric under load must not allocate,
+// under the active-set engine and the islands engine's sequential K=1
+// path (K>1 still spawns worker goroutines every phase). AllocsPerRun is
+// unreliable under the race detector, so the assertion is skipped there
+// (the equivalence suites still run).
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
-	f := buildLine(6, 2, 32, 2, 3)
-	f.CreditAudit = true // the audit must be zero-alloc too
-	// A deep backlog: 60 packets x 32 flits over a 2 flit/cycle line keep
-	// the fabric busy for ~1000 cycles.
-	for i := 0; i < 60; i++ {
-		f.Routers[0].Inject(mkPacket(uint64(i), 0, 5, 32, 0), 0)
-		if i%3 == 0 {
-			f.Routers[2].Inject(mkPacket(uint64(1000+i), 2, 5, 32, 0), 0)
-		}
-	}
-	runCycles(f, 100) // warm: fifos, grant lists and scratch reach capacity
-	allocs := testing.AllocsPerRun(400, func() { f.Step() })
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.1f times per cycle, want 0", allocs)
-	}
-	if f.InFlight() == 0 {
-		t.Fatal("backlog drained before measurement ended; the test measured an idle fabric")
+	for _, e := range []engine{activeEngine, {"islands-1", false, 1}} {
+		t.Run(e.name, func(t *testing.T) {
+			f := buildLine(6, 2, 32, 2, 3)
+			e.apply(f)
+			f.CreditAudit = true // the audit must be zero-alloc too
+			// A deep backlog: 60 packets x 32 flits over a 2 flit/cycle
+			// line keep the fabric busy for ~1000 cycles.
+			for i := 0; i < 60; i++ {
+				f.Routers[0].Inject(mkPacket(uint64(i), 0, 5, 32, 0), 0)
+				if i%3 == 0 {
+					f.Routers[2].Inject(mkPacket(uint64(1000+i), 2, 5, 32, 0), 0)
+				}
+			}
+			runCycles(f, 100) // warm: fifos, grant lists and scratch reach capacity
+			allocs := testing.AllocsPerRun(400, func() { f.Step() })
+			if allocs != 0 {
+				t.Errorf("steady-state Step allocates %.1f times per cycle, want 0", allocs)
+			}
+			if f.InFlight() == 0 {
+				t.Fatal("backlog drained before measurement ended; the test measured an idle fabric")
+			}
+		})
 	}
 }
 

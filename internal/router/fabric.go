@@ -166,13 +166,13 @@ func (f *Fabric) deliver(p *packet.Packet, now int64) {
 	}
 }
 
-// deliverFrom is the ejection path out of router r. During the islands
-// engine's phase 3 the delivery is deferred into r's island's ordered
+// deliverFrom is the ejection path out of router r. In a parallel
+// islands cycle the delivery is deferred into r's island's ordered
 // ejection list and replayed at the barrier drain in ascending router
 // order — the Sink call order and inFlight accounting of the serial
 // engines; in every other context it is Fabric.deliver.
 func (f *Fabric) deliverFrom(r *Router, p *packet.Packet, now int64) {
-	if is := f.isl; is != nil && is.deferEject {
+	if is := f.isl; is != nil && is.parallel {
 		is.pushEject(r, p)
 		return
 	}

@@ -2,9 +2,7 @@ package router
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"chipletnet/internal/packet"
 )
@@ -14,11 +12,13 @@ import (
 // (the serial active-set engine). The fabric is partitioned at Build
 // time into K islands — contiguous chiplet ranges balanced by router
 // count — and each island's active sets are stepped on its own worker
-// goroutine. Everything that crosses an island boundary is exchanged
-// through deterministic mailboxes drained in ascending global index
-// order at per-cycle barriers, so the engine is bit-for-bit identical
-// to the serial engines: same delivery order into the statistics
-// collector, same fault log, same RNG consumption, same checkpoints.
+// goroutine with the same phase walks stepActive uses (deliverLinks,
+// allocate, transmit in engine.go). Everything that crosses an island
+// boundary is exchanged through deterministic mailboxes drained in
+// ascending global index order at per-cycle barriers, so the engine is
+// bit-for-bit identical to the serial engines: same delivery order into
+// the statistics collector, same fault log, same RNG consumption, same
+// checkpoints.
 //
 // # Partition rule
 //
@@ -61,15 +61,23 @@ import (
 //     and per-link RNG stream consumption match the serial engines.
 //  3. Active-set wakes (bitmap bits shared between islands). Each island
 //     owns full-size bitmaps holding only its own components' bits, so
-//     worker wakes never share a word; wakes of serially-exchanged links
-//     can race between the Src- and Dst-side workers of a cut link and
-//     go through atomic CAS — bit-sets are idempotent and order-free, so
-//     the merged wake state is schedule-independent.
+//     worker wakes never share a word. A serially-exchanged link is
+//     woken in the plain serialWake bitmap of the waking endpoint's
+//     island — push wakes from l.Src, returnCredit from l.Dst — so the
+//     two sides of a cut link write different bitmaps; the coordinator
+//     ORs them into the serial set before the serial delivery pass.
+//     Bit-sets are idempotent and order-free, so the merged wake state
+//     is schedule-independent.
 //
 // Everything else either touches only the owning island's state or is a
 // phase-stable cross-island read (VC allocation reads downstream input
 // queues, which no one mutates during phase 2), with the per-phase
 // barriers providing the happens-before edges the race detector checks.
+//
+// Single-island partitions and traced runs (a Tracer observes per-flit
+// movement order) run the same cycle with the islands stepped one after
+// another on the caller's goroutine. That is ascending global order, so
+// phase 3 handles Rel-owning routers and ejections in place.
 //
 // The island assignment, mailboxes and active sets are all derived
 // state: Snapshot does not record them, Restore/Reset rebuild them, and
@@ -89,9 +97,8 @@ type islandState struct {
 	k int
 
 	// routerIsland[idx] is the owning island of Routers[idx]; islands are
-	// contiguous index ranges (first[w] .. first[w+1]-1).
+	// contiguous index ranges.
 	routerIsland []int32
-	first        []int32
 
 	// linkIsland[id] is the owning island of Links[id], or -1 for links
 	// exchanged serially (inter-island cut or Rel-protected). Recomputed
@@ -102,31 +109,32 @@ type islandState struct {
 
 	// Per-island active sets: full-size bitmaps in which only the owning
 	// island's bits are ever set, so workers never share a word. The
-	// union across islands (plus serialLink) is exactly the state the
-	// serial engines keep in Fabric.routerActive/linkActive.
+	// union across islands (plus serialLink and serialWake) is exactly
+	// the state the serial engines keep in Fabric.routerActive/linkActive.
 	rActive [][]uint64
 	lActive [][]uint64
 
-	// serialLink is the active set of serially-exchanged links. Words are
-	// atomic because phase-3 workers on both sides of a cut link may wake
-	// it concurrently; bit-sets are idempotent, so CAS order is
-	// unobservable.
-	serialLink []atomic.Uint64
+	// serialLink is the active set of serially-exchanged links, walked
+	// only by the coordinator. serialWake[w] holds the serial-link wakes
+	// issued from island w's routers until the coordinator folds them in.
+	serialLink []uint64
+	serialWake [][]uint64
 
 	// serialMask marks routers whose phase 3 must run on the coordinator
-	// (they own a Rel-protected output link); serialIdx lists them in
-	// ascending index order.
-	serialMask []uint64
-	serialIdx  []int32
+	// (they own a Rel-protected output link); workerMask is its complement.
+	serialMask, workerMask []uint64
 
 	// eject[w] collects worker w's deferred ejections (parallel phase 3);
 	// ejectSerial[w] the coordinator's (serial phase-3 pass). Both are
 	// appended in ascending router order and merged at the drain.
 	eject       [][]ejection
 	ejectSerial [][]ejection
-	deferEject  bool
 
-	// moved[w] is worker w's flit-movement flag for the deadlock watchdog.
+	// parallel is set for a cycle whose phases run on worker goroutines:
+	// phase 3 then skips serialMask routers and defers ejections.
+	parallel bool
+
+	// moved[w] is island w's flit-movement flag for the deadlock watchdog.
 	moved []bool
 }
 
@@ -171,12 +179,13 @@ func (f *Fabric) EnableIslands(k int, chipletOf []int) {
 	is := &islandState{
 		k:            k,
 		routerIsland: make([]int32, n),
-		first:        make([]int32, k+1),
 		linkIsland:   make([]int32, len(f.Links)),
 		rActive:      make([][]uint64, k),
 		lActive:      make([][]uint64, k),
-		serialLink:   make([]atomic.Uint64, len(f.linkActive)),
+		serialLink:   make([]uint64, len(f.linkActive)),
+		serialWake:   make([][]uint64, k),
 		serialMask:   make([]uint64, len(f.routerActive)),
+		workerMask:   make([]uint64, len(f.routerActive)),
 		eject:        make([][]ejection, k),
 		ejectSerial:  make([][]ejection, k),
 		moved:        make([]bool, k),
@@ -194,25 +203,18 @@ func (f *Fabric) EnableIslands(k int, chipletOf []int) {
 		}
 		if w < k-1 && (end*k >= n*(w+1) || numC-(c+1) == k-1-w) {
 			w++
-			is.first[w] = int32(end)
 		}
 	}
-	is.first[k] = int32(n)
 	for w := 0; w < k; w++ {
 		is.rActive[w] = make([]uint64, len(f.routerActive))
 		is.lActive[w] = make([]uint64, len(f.linkActive))
+		is.serialWake[w] = make([]uint64, len(f.linkActive))
 	}
 	f.isl = is
 	f.rebuildActive()
-}
-
-// DisableIslands returns the fabric to the serial active-set engine.
-func (f *Fabric) DisableIslands() {
-	if f.isl == nil {
-		return
-	}
-	f.isl = nil
-	f.rebuildActive()
+	// The fault engine attaches LinkRels after Build, so the first Step
+	// classifies again.
+	is.classified = false
 }
 
 // Islands returns the island count of the parallel engine, or 0 when it
@@ -234,7 +236,7 @@ func (f *Fabric) IslandLayout() (assign []int, serial []bool) {
 		return nil, nil
 	}
 	if !is.classified {
-		is.classify(f)
+		f.rebuildActive()
 	}
 	assign = make([]int, len(f.Routers))
 	for i, w := range is.routerIsland {
@@ -249,28 +251,29 @@ func (f *Fabric) IslandLayout() (assign []int, serial []bool) {
 
 // ActiveSets returns copies of the engine's effective active sets —
 // under the islands engine, the union of every island's bitmaps plus
-// the serial link set. The union must always equal the bitmaps the
-// serial active-set engine would hold in the same state (the partition
-// invariant FuzzIslandPartition checks).
+// the serial link set and the pending serial-link wakes. The union must
+// always equal the bitmaps the serial active-set engine would hold in
+// the same state (the partition invariant FuzzIslandPartition checks).
 func (f *Fabric) ActiveSets() (routers, links []uint64) {
 	routers = make([]uint64, len(f.routerActive))
 	links = make([]uint64, len(f.linkActive))
-	if is := f.isl; is != nil {
-		for w := 0; w < is.k; w++ {
-			for i, word := range is.rActive[w] {
-				routers[i] |= word
-			}
-			for i, word := range is.lActive[w] {
-				links[i] |= word
-			}
-		}
-		for i := range is.serialLink {
-			links[i] |= is.serialLink[i].Load()
-		}
+	is := f.isl
+	if is == nil {
+		copy(routers, f.routerActive)
+		copy(links, f.linkActive)
 		return routers, links
 	}
-	copy(routers, f.routerActive)
-	copy(links, f.linkActive)
+	or := func(dst, src []uint64) {
+		for i, word := range src {
+			dst[i] |= word
+		}
+	}
+	for w := 0; w < is.k; w++ {
+		or(routers, is.rActive[w])
+		or(links, is.lActive[w])
+		or(links, is.serialWake[w])
+	}
+	or(links, is.serialLink)
 	return routers, links
 }
 
@@ -285,37 +288,24 @@ func (is *islandState) wakeRouter(r *Router) {
 
 // wakeLink marks l live. Island-internal links are only ever woken by
 // their own island's worker (push and returnCredit both originate at an
-// endpoint, and internal links have both endpoints in one island);
-// serially-exchanged links can be woken from both sides of the cut at
-// once, so their bits are set with CAS — idempotent, order-free.
-func (is *islandState) wakeLink(l *Link) {
-	if w := is.linkIsland[l.ID]; w >= 0 {
-		is.lActive[w][l.ID>>6] |= 1 << uint(l.ID&63)
-		return
+// endpoint, and internal links have both endpoints in one island); a
+// serially-exchanged link's wake goes to the serialWake bitmap of from's
+// island, which only that island's worker (or the coordinator) writes.
+func (is *islandState) wakeLink(l *Link, from *Router) {
+	w, set := is.linkIsland[l.ID], is.lActive
+	if w < 0 {
+		w, set = is.routerIsland[from.idx], is.serialWake
 	}
-	word := &is.serialLink[l.ID>>6]
-	bit := uint64(1) << uint(l.ID&63)
-	for {
-		old := word.Load()
-		if old&bit != 0 || word.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
+	set[w][l.ID>>6] |= 1 << uint(l.ID&63)
 }
 
 // classify splits links into island-internal and serial sets and finds
 // the routers whose phase 3 must run serially. Classification is lazy
 // because the reliability protocol (fault engine) attaches LinkRels
-// after Build; it reruns after Reset/Restore (Reset detaches Rels).
-// Between classification epochs no link bit can be pending: rebuilds
-// zero every set first, and a fresh or Reset fabric has no link work.
+// after Build; it reruns, through rebuildActive, at the first Step after
+// EnableIslands, Reset or Restore, so no link bit is ever pending in a
+// set of a stale classification.
 func (is *islandState) classify(f *Fabric) {
-	for len(is.linkIsland) < len(f.Links) {
-		is.linkIsland = append(is.linkIsland, -1)
-	}
-	for len(is.serialLink)*64 < len(f.Links) {
-		is.serialLink = append(is.serialLink, atomic.Uint64{})
-	}
 	for _, l := range f.Links {
 		w := int32(-1)
 		if l.Rel == nil {
@@ -325,18 +315,17 @@ func (is *islandState) classify(f *Fabric) {
 		}
 		is.linkIsland[l.ID] = w
 	}
-	for i := range is.serialMask {
-		is.serialMask[i] = 0
-	}
-	is.serialIdx = is.serialIdx[:0]
+	clear(is.serialMask)
 	for _, r := range f.Routers {
 		for _, o := range r.Out {
 			if o.Link != nil && o.Link.Rel != nil {
 				is.serialMask[r.idx>>6] |= 1 << uint(r.idx&63)
-				is.serialIdx = append(is.serialIdx, int32(r.idx))
 				break
 			}
 		}
+	}
+	for i, m := range is.serialMask {
+		is.workerMask[i] = ^m
 	}
 	is.classified = true
 }
@@ -345,20 +334,15 @@ func (is *islandState) classify(f *Fabric) {
 // (rebuildActive / Fabric.Reset) re-wakes live components afterwards.
 func (is *islandState) reset() {
 	for w := 0; w < is.k; w++ {
-		for i := range is.rActive[w] {
-			is.rActive[w][i] = 0
-		}
-		for i := range is.lActive[w] {
-			is.lActive[w][i] = 0
-		}
+		clear(is.rActive[w])
+		clear(is.lActive[w])
+		clear(is.serialWake[w])
 		is.eject[w] = is.eject[w][:0]
 		is.ejectSerial[w] = is.ejectSerial[w][:0]
 		is.moved[w] = false
 	}
-	for i := range is.serialLink {
-		is.serialLink[i].Store(0)
-	}
-	is.deferEject = false
+	clear(is.serialLink)
+	is.parallel = false
 	is.classified = false
 }
 
@@ -376,111 +360,65 @@ func (is *islandState) pushEject(r *Router, p *packet.Packet) {
 	}
 }
 
-// stepIslands advances the fabric by one cycle under the parallel
-// engine. Single-island partitions and traced runs use the serial
-// variant: with one island there is nothing to overlap, and a Tracer
-// observes per-flit movement order, which only the global serial sweep
-// reproduces.
+// stepIslands advances the fabric by one cycle under the islands engine.
 func (f *Fabric) stepIslands() {
 	is := f.isl
 	if !is.classified {
-		is.classify(f)
-	}
-	if is.k == 1 || f.Tracer != nil {
-		f.stepIslandsSerial()
-		return
+		f.rebuildActive()
 	}
 	f.Now++
 	now := f.Now
-	moved := false
 
-	// Serial link exchange: deliver every cut and Rel-protected link in
-	// ascending global link ID — the mailbox drain. This runs before the
-	// parallel phase so no worker touches a router an exchange is
-	// mutating; per-link delivery is commutative (each link owns its
-	// destination input port and source credit counters), so splitting
-	// the serial links out of the per-island sweeps is unobservable.
-	for wi := range is.serialLink {
-		word := is.serialLink[wi].Load()
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			l := f.Links[wi<<6|b]
-			if l.deliver(now) {
+	// Serial link exchange: fold the islands' wakes into the serial set,
+	// then deliver every cut and Rel-protected link in ascending global
+	// link ID — the mailbox drain. This runs before the island phases so
+	// no worker touches a router an exchange is mutating; per-link
+	// delivery is commutative (each link owns its destination input port
+	// and source credit counters), so splitting the serial links out of
+	// the per-island sweeps is unobservable.
+	for w := 0; w < is.k; w++ {
+		for i, word := range is.serialWake[w] {
+			is.serialLink[i] |= word
+		}
+		clear(is.serialWake[w])
+	}
+	moved := f.deliverLinks(is.serialLink, now)
+
+	is.parallel = is.k > 1 && f.Tracer == nil
+	f.islandPhase(1, now)
+	f.islandPhase(2, now)
+	f.islandPhase(3, now)
+
+	if is.parallel {
+		// Serial phase-3 pass: routers owning Rel-protected output links,
+		// in ascending index order, so fault-log records and per-link
+		// corruption RNG draws happen in exactly the serial engines' order.
+		for w := 0; w < is.k; w++ {
+			if f.transmit(is.rActive[w], is.workerMask, now) {
 				moved = true
 			}
-			if !l.pendingWork() {
-				is.serialLink[wi].Store(is.serialLink[wi].Load() &^ (1 << uint(b)))
+		}
+
+		// Drain deferred ejections in ascending island order — by
+		// contiguity, ascending global router order, the exact Sink call
+		// order of the serial engines. Each island's two lists (parallel
+		// and serial pass) are individually ascending; merge them by
+		// router index.
+		for w := 0; w < is.k; w++ {
+			par, ser := is.eject[w], is.ejectSerial[w]
+			i, j := 0, 0
+			for i < len(par) || j < len(ser) {
+				if j >= len(ser) || (i < len(par) && par[i].router < ser[j].router) {
+					f.deliver(par[i].p, now)
+					i++
+				} else {
+					f.deliver(ser[j].p, now)
+					j++
+				}
 			}
+			is.eject[w] = par[:0]
+			is.ejectSerial[w] = ser[:0]
 		}
-	}
-
-	// The three phases run on k goroutines (the caller's doubles as
-	// island 0's worker) with a barrier between phases; each worker walks
-	// its own island's active sets in ascending index order.
-	var wg sync.WaitGroup
-	phase := func(fn func(w int)) {
-		wg.Add(is.k - 1)
-		for w := 1; w < is.k; w++ {
-			go func(w int) {
-				defer wg.Done()
-				fn(w)
-			}(w)
-		}
-		fn(0)
-		wg.Wait()
-	}
-
-	phase(func(w int) {
-		if f.islandDeliver(w, now) {
-			is.moved[w] = true
-		}
-	})
-	phase(func(w int) { f.islandAllocate(w, now) })
-	is.deferEject = true
-	phase(func(w int) {
-		if f.islandTransmit(w, now) {
-			is.moved[w] = true
-		}
-	})
-
-	// Serial phase-3 pass: routers owning Rel-protected output links, in
-	// ascending index order, so fault-log records and per-link corruption
-	// RNG draws happen in exactly the serial engines' order.
-	for _, idx := range is.serialIdx {
-		wi, bit := idx>>6, uint64(1)<<uint(idx&63)
-		w := is.routerIsland[idx]
-		if is.rActive[w][wi]&bit == 0 {
-			continue
-		}
-		r := f.Routers[idx]
-		if r.switchAllocate(now) {
-			moved = true
-		}
-		if !r.busy() {
-			is.rActive[w][wi] &^= bit
-		}
-	}
-	is.deferEject = false
-
-	// Drain deferred ejections in ascending island order — by contiguity,
-	// ascending global router order, the exact Sink call order of the
-	// serial engines. Each island's two lists (parallel and serial pass)
-	// are individually ascending; merge them by router index.
-	for w := 0; w < is.k; w++ {
-		par, ser := is.eject[w], is.ejectSerial[w]
-		i, j := 0, 0
-		for i < len(par) || j < len(ser) {
-			if j >= len(ser) || (i < len(par) && par[i].router < ser[j].router) {
-				f.deliver(par[i].p, now)
-				i++
-			} else {
-				f.deliver(ser[j].p, now)
-				j++
-			}
-		}
-		is.eject[w] = par[:0]
-		is.ejectSerial[w] = ser[:0]
 	}
 
 	for w := 0; w < is.k; w++ {
@@ -492,135 +430,49 @@ func (f *Fabric) stepIslands() {
 	f.finishStep(now, moved)
 }
 
-// islandDeliver is phase 1 for island w: deliver the island's internal
-// links in ascending link ID. Delivery wakes only receiving routers,
-// which are island-local for internal links, and never wakes links.
-func (f *Fabric) islandDeliver(w int, now int64) bool {
-	act := f.isl.lActive[w]
-	moved := false
-	for wi, word := range act {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			l := f.Links[wi<<6|b]
-			if l.deliver(now) {
-				moved = true
-			}
-			if !l.pendingWork() {
-				act[wi] &^= 1 << uint(b)
-			}
-		}
-	}
-	return moved
-}
-
-// islandAllocate is phase 2 for island w: VC allocation for the
-// island's active routers, ascending. Allocation writes only the
-// granting router's own state; its cross-island accesses (the
-// safe/unsafe policy reads downstream input queues) are reads of state
-// nothing mutates during phase 2, on either engine.
-func (f *Fabric) islandAllocate(w int, now int64) {
-	act := f.isl.rActive[w]
-	for wi, word := range act {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			f.Routers[wi<<6|b].vcAllocate(now)
-		}
-	}
-}
-
-// islandTransmit is phase 3 for island w: switch allocation and
-// transmission for the island's active routers, ascending, skipping the
-// serial-pass routers (their bits stay set for the coordinator).
-// Transfers write single-producer link fifos (flits at the source side,
-// credits at the destination side), decrement the router's own credit
-// counters, and defer ejections; wakes of serially-exchanged links go
-// through the CAS path.
-func (f *Fabric) islandTransmit(w int, now int64) bool {
+// islandPhase runs one phase for every island: on k goroutines with a
+// barrier at the end (the caller's doubles as island 0's worker) in a
+// parallel cycle, else island after island in ascending order.
+func (f *Fabric) islandPhase(phase int, now int64) {
 	is := f.isl
-	act := is.rActive[w]
-	moved := false
-	for wi, word := range act {
-		word &^= is.serialMask[wi]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			r := f.Routers[wi<<6|b]
-			if r.switchAllocate(now) {
-				moved = true
-			}
-			if !r.busy() {
-				act[wi] &^= 1 << uint(b)
-			}
+	if !is.parallel {
+		for w := 0; w < is.k; w++ {
+			f.islandWork(phase, w, now)
 		}
+		return
 	}
-	return moved
+	var wg sync.WaitGroup
+	wg.Add(is.k - 1)
+	for w := 1; w < is.k; w++ {
+		go func(w int) {
+			defer wg.Done()
+			f.islandWork(phase, w, now)
+		}(w)
+	}
+	f.islandWork(phase, 0, now)
+	wg.Wait()
 }
 
-// stepIslandsSerial advances one cycle by sweeping the union of every
-// island's active sets in ascending global index order — exactly
-// stepActive's iteration over a partitioned representation. Used for
-// single-island partitions and traced runs; it is also the bisection
-// aid when a parallel divergence is suspected (same partition, no
-// concurrency).
-func (f *Fabric) stepIslandsSerial() {
+// islandWork runs phase 1 (link delivery), 2 (VC allocation) or 3
+// (switch allocation) over island w's active sets. Only island w's state
+// is written, apart from the single-producer link fifos and deferred
+// ejections of phase 3 described in the file comment.
+func (f *Fabric) islandWork(phase, w int, now int64) {
 	is := f.isl
-	f.Now++
-	now := f.Now
-	moved := false
-
-	for wi := range f.linkActive {
-		word := is.serialLink[wi].Load()
-		for w := 0; w < is.k; w++ {
-			word |= is.lActive[w][wi]
+	switch phase {
+	case 1:
+		if f.deliverLinks(is.lActive[w], now) {
+			is.moved[w] = true
 		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			l := f.Links[wi<<6|b]
-			if l.deliver(now) {
-				moved = true
-			}
-			if !l.pendingWork() {
-				if w := is.linkIsland[l.ID]; w >= 0 {
-					is.lActive[w][wi] &^= 1 << uint(b)
-				} else {
-					is.serialLink[wi].Store(is.serialLink[wi].Load() &^ (1 << uint(b)))
-				}
-			}
+	case 2:
+		f.allocate(is.rActive[w], now)
+	default:
+		var skip []uint64
+		if is.parallel {
+			skip = is.serialMask
+		}
+		if f.transmit(is.rActive[w], skip, now) {
+			is.moved[w] = true
 		}
 	}
-
-	for wi := range f.routerActive {
-		var word uint64
-		for w := 0; w < is.k; w++ {
-			word |= is.rActive[w][wi]
-		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			f.Routers[wi<<6|b].vcAllocate(now)
-		}
-	}
-
-	for wi := range f.routerActive {
-		var word uint64
-		for w := 0; w < is.k; w++ {
-			word |= is.rActive[w][wi]
-		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			r := f.Routers[wi<<6|b]
-			if r.switchAllocate(now) {
-				moved = true
-			}
-			if !r.busy() {
-				is.rActive[is.routerIsland[r.idx]][wi] &^= 1 << uint(b)
-			}
-		}
-	}
-
-	f.finishStep(now, moved)
 }

@@ -77,7 +77,7 @@ type creditBundle struct {
 // downstream credits for the flits — exactly once, retransmissions never
 // re-charge.
 func (l *Link) push(p *packet.Packet, n, vc int, now int64) {
-	l.Src.Fabric.wakeLink(l)
+	l.Src.Fabric.wakeLink(l, l.Src)
 	if l.Rel != nil {
 		l.Rel.send(l, p, n, vc, now)
 		return
@@ -88,7 +88,7 @@ func (l *Link) push(p *packet.Packet, n, vc int, now int64) {
 
 // returnCredit sends n credits for VC vc back to the link source.
 func (l *Link) returnCredit(vc, n int, now int64) {
-	l.Src.Fabric.wakeLink(l)
+	l.Dst.Fabric.wakeLink(l, l.Dst)
 	l.credits.Push(creditBundle{vc: vc, n: n, arriveAt: now + int64(l.Latency)})
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"chipletnet/internal/jsonl"
@@ -67,37 +66,22 @@ func openLeaseLog(path string) (*leaseLog, []leaseEvent, int, error) {
 }
 
 // rewrite atomically replaces the journal with events — the compaction
-// path: the temp-file/sync/rename discipline of internal/jsonl repair,
-// plus reopening the append handle on the new file. A crash mid-rewrite
-// leaves either the old journal (compacted again next open) or the new
-// one, never a half-written mix.
+// path: jsonl.Rewrite's temp-file/sync/rename, plus reopening the append
+// handle on the new file. A crash mid-rewrite leaves either the old
+// journal (compacted again next open) or the new one, never a
+// half-written mix.
 func (l *leaseLog) rewrite(events []leaseEvent) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), filepath.Base(l.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	for _, e := range events {
+	lines := make([][]byte, len(events))
+	for i, e := range events {
 		line, err := json.Marshal(e)
 		if err != nil {
-			tmp.Close()
 			return err
 		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			tmp.Close()
-			return err
-		}
+		lines[i] = line
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := jsonl.Rewrite(l.path, lines); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

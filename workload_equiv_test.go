@@ -1,7 +1,9 @@
 package chipletnet
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -14,12 +16,12 @@ import (
 // recorded traces carry all three classes and real dependencies.
 const aiWorkloadSpec = "aiscaleout:allreduce-ring,data=64,compute=50,memrate=0.05,reqrate=0.02"
 
-// recordTrace runs cfg under the reference engine with trace recording
-// and returns the recording run's Result.
-func recordTrace(t *testing.T, cfg Config, path string) Result {
+// recordTrace runs cfg under engine eng with trace recording and
+// returns the recording run's Result.
+func recordTrace(t *testing.T, eng engineSetup, cfg Config, path string) Result {
 	t.Helper()
 	var res Result
-	withEngine(engineSetup{"reference", EngineReference, 0}, func() {
+	withEngine(eng, func() {
 		sys, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +43,7 @@ func TestWorkloadReplayEngineEquivalence(t *testing.T) {
 	cfg.Workload = aiWorkloadSpec
 	tracePath := filepath.Join(t.TempDir(), "hypercube.trace")
 
-	recRes := recordTrace(t, cfg, tracePath)
+	recRes := recordTrace(t, engineSetup{"reference", EngineReference, 0}, cfg, tracePath)
 	if len(recRes.Classes) == 0 {
 		t.Fatal("recording run produced no per-class statistics")
 	}
@@ -117,6 +119,37 @@ func TestWorkloadReplayEngineEquivalence(t *testing.T) {
 	}
 }
 
+// TestWorkloadRecordEngineEquivalence records the same QoS-rich hypercube
+// run under every cycle engine — the islands engine at K=1 and with a
+// Tracer attached at K=4, where it steps its islands one after another —
+// and requires byte-identical trace files: the recorder sees injections
+// and deliveries in the same order and at the same cycles everywhere.
+func TestWorkloadRecordEngineEquivalence(t *testing.T) {
+	cfg := equivConfig(HypercubeTopology(3))
+	cfg.Workload = aiWorkloadSpec
+	dir := t.TempDir()
+	var want []byte
+	for _, eng := range []engineSetup{
+		{"reference", EngineReference, 0},
+		{"active", EngineActive, 0},
+		{"islands-k1", EngineIslands, 1},
+		{"islands-k4", EngineIslands, 4},
+	} {
+		path := filepath.Join(dir, eng.name+".trace")
+		recordTrace(t, eng, cfg, path)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("trace recorded under %s differs from the reference engine's (%d vs %d bytes)",
+				eng.name, len(got), len(want))
+		}
+	}
+}
+
 // TestWorkloadReplayReproducesRecording pins the strongest determinism
 // property: a dependency-free trace recorded from a synthetic run and
 // replayed under the recording configuration reproduces the original
@@ -125,7 +158,7 @@ func TestWorkloadReplayEngineEquivalence(t *testing.T) {
 func TestWorkloadReplayReproducesRecording(t *testing.T) {
 	cfg := equivConfig(HypercubeTopology(3))
 	tracePath := filepath.Join(t.TempDir(), "synthetic.trace")
-	recRes := recordTrace(t, cfg, tracePath)
+	recRes := recordTrace(t, engineSetup{"reference", EngineReference, 0}, cfg, tracePath)
 
 	replay := cfg
 	replay.Workload = "replay:" + tracePath
