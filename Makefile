@@ -62,11 +62,14 @@ fuzz:
 
 # test-dse runs the design-space-exploration matrix under the race
 # detector — enumeration/pruning determinism, the verify pre-flight
-# rejections, cache round-trip and crash tolerance, the cold-then-warm
-# byte-identical-report gate, the chipletdse flag parsers — plus the
-# Pareto-frontier invariant fuzz seed corpus.
+# rejections and the GOMAXPROCS-independent plan, cache round-trip and
+# crash tolerance, the cold-then-warm byte-identical-report gate, the
+# chipletdse flag parsers — then the parallel certification pool
+# (VerifyEach) and the certifier's pinned output (TestCertificateGolden),
+# plus the Pareto-frontier invariant fuzz seed corpus.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/chipletdse
+	$(GO) test -race -run 'VerifyEach|CertificateGolden' . ./internal/verify
 	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -198,6 +199,65 @@ func TestNewPlanRejectsEqualChannel(t *testing.T) {
 	for _, r := range plan.Rejected {
 		if !strings.Contains(r.Reason, "cycle") {
 			t.Errorf("%s: rejection reason has no cycle witness: %s", r.Name, r.Reason)
+		}
+	}
+}
+
+// TestNewPlanAcrossGOMAXPROCS: NewPlan certifies its distinct routing
+// structures in parallel, yet the plan — candidate, rejection and hit
+// order, certificate strings and pending keys — must not depend on how
+// many CPUs ran the analyses.
+func TestNewPlanAcrossGOMAXPROCS(t *testing.T) {
+	s := Space{
+		Chiplets:      8,
+		Topologies:    []string{"mesh", "ndmesh", "hypercube"},
+		Interleavings: []string{"none", "packet"},
+	}
+	p := DefaultParams()
+	empty, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := NewPlan(s, p, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seed.Rejected) == 0 || len(seed.Pending) < 2 {
+		t.Fatalf("space too small: %d rejected, %d pending", len(seed.Rejected), len(seed.Pending))
+	}
+	// Cache every other verified candidate so the plan has hits too.
+	cache, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range seed.Pending {
+		if i%2 == 0 {
+			rec := testRecord(e.Key, e.Candidate.Name)
+			rec.Cert = e.Cert
+			if err := cache.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	plans := map[int]*Plan{}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		plans[procs], err = NewPlan(s, p, cache)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(plans[1], plans[4]) {
+		t.Errorf("plan depends on GOMAXPROCS:\n 1: %+v\n 4: %+v", plans[1].Rejected, plans[4].Rejected)
+	}
+	if len(plans[1].Hits) == 0 || len(plans[1].Pending) == 0 {
+		t.Errorf("want both hits and pending evaluations, got %d and %d", len(plans[1].Hits), len(plans[1].Pending))
+	}
+	for _, r := range plans[1].Rejected {
+		if r.Cert == "" {
+			t.Errorf("%s: rejected without a certificate", r.Name)
 		}
 	}
 }

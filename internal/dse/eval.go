@@ -291,8 +291,10 @@ func routingKey(cfg chipletnet.Config) string {
 // NewPlan enumerates the space, statically verifies every feasible
 // candidate's routing (rejecting deadlock-prone designs with the
 // verifier's witness), and partitions the survivors into cache hits and
-// pending evaluations. NewPlan itself runs no simulation. The cache may
-// be a single-file Cache or a ShardedCache.
+// pending evaluations. Each distinct routing structure is analyzed once;
+// the analyses run in parallel through chipletnet.VerifyEach, and the
+// plan is independent of GOMAXPROCS. NewPlan itself runs no simulation.
+// The cache may be a single-file Cache or a ShardedCache.
 func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
 	p = p.normalize()
 	cands, pruned, err := s.Enumerate(p)
@@ -305,26 +307,40 @@ func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
 	}
 	plan := &Plan{Space: norm, Params: p, Pruned: pruned}
 
+	// Certify each distinct routing structure once, in first-seen order,
+	// as one batch on the module root's worker pool.
+	slot := make([]int, len(cands)) // candidate -> index into structs
+	first := map[string]int{}       // routingKey -> index into structs
+	var structs []chipletnet.Config
+	for i, cand := range cands {
+		rk := routingKey(cand.Cfg)
+		j, seen := first[rk]
+		if !seen {
+			j = len(structs)
+			first[rk] = j
+			structs = append(structs, cand.Cfg)
+		}
+		slot[i] = j
+	}
+	reps, errs := chipletnet.VerifyEach(structs, preflightOptions)
+
 	type verdict struct {
 		reason string // "" when the pre-flight certified the structure
 		cert   string // certificate content address (also for failures)
 	}
-	verdicts := map[string]verdict{} // per routingKey
-	for _, cand := range cands {
-		rk := routingKey(cand.Cfg)
-		v, seen := verdicts[rk]
-		if !seen {
-			rep, err := chipletnet.VerifyConfig(cand.Cfg, preflightOptions)
-			switch {
-			case err != nil:
-				v = verdict{reason: fmt.Sprintf("build failed: %v", err)}
-			case rep.Err() != nil:
-				v = verdict{reason: rep.Err().Error(), cert: rep.Certificate().Hash()}
-			default:
-				v = verdict{cert: rep.Certificate().Hash()}
-			}
-			verdicts[rk] = v
+	verdicts := make([]verdict, len(structs))
+	for j, rep := range reps {
+		switch {
+		case errs[j] != nil:
+			verdicts[j] = verdict{reason: fmt.Sprintf("build failed: %v", errs[j])}
+		case rep.Err() != nil:
+			verdicts[j] = verdict{reason: rep.Err().Error(), cert: rep.Certificate().Hash()}
+		default:
+			verdicts[j] = verdict{cert: rep.Certificate().Hash()}
 		}
+	}
+	for i, cand := range cands {
+		v := verdicts[slot[i]]
 		if v.reason != "" {
 			plan.Rejected = append(plan.Rejected, Rejected{Name: cand.Name, Reason: v.reason, Cert: v.cert})
 			continue

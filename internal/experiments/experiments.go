@@ -76,35 +76,52 @@ func baseConfig(s Scale) chipletnet.Config {
 	return cfg
 }
 
-// preflight statically verifies the design point's routing before any
-// cycle is simulated: a sampled channel-dependency-graph analysis
-// (internal/verify) must find no deadlock cycle, unreachable pair or VC
-// inconsistency. Verdicts are memoized per routing-relevant configuration,
-// so a rate sweep over one design point pays for one analysis.
+// preflightCache memoizes pre-flight verdicts per routing-relevant
+// configuration, so a rate sweep over one design point pays for one
+// analysis.
 var preflightCache sync.Map // key string -> error (possibly nil)
 
-func preflight(cfg chipletnet.Config) error {
-	key := fmt.Sprintf("%s%v|%dx%d|vc%d|%s|sep%v|unsafe%v|fault%g|seed%d",
-		cfg.Topology.Kind, cfg.Topology.Dims, cfg.ChipletW, cfg.ChipletH,
-		cfg.VCs, cfg.Routing, cfg.DisableNDMeshVCSeparation,
-		cfg.AllowUnsafeRouting, cfg.CrossLinkFaultFraction, cfg.Seed)
-	if v, ok := preflightCache.Load(key); ok {
-		if v == nil {
-			return nil
+// preflightAll statically verifies each design point's routing before any
+// cycle is simulated: a sampled channel-dependency-graph analysis
+// (internal/verify) must find no deadlock cycle, unreachable pair or VC
+// inconsistency. It returns one error per configuration, in input order.
+// The batch's distinct uncached design points are analyzed together, in
+// parallel, through chipletnet.VerifyEach.
+func preflightAll(cfgs []chipletnet.Config) []error {
+	keys := make([]string, len(cfgs))
+	var todo []chipletnet.Config
+	var todoKeys []string
+	queued := map[string]bool{}
+	for i, cfg := range cfgs {
+		keys[i] = fmt.Sprintf("%s%v|%dx%d|vc%d|%s|sep%v|unsafe%v|fault%g|seed%d",
+			cfg.Topology.Kind, cfg.Topology.Dims, cfg.ChipletW, cfg.ChipletH,
+			cfg.VCs, cfg.Routing, cfg.DisableNDMeshVCSeparation,
+			cfg.AllowUnsafeRouting, cfg.CrossLinkFaultFraction, cfg.Seed)
+		if _, ok := preflightCache.Load(keys[i]); !ok && !queued[keys[i]] {
+			queued[keys[i]] = true
+			todo = append(todo, cfg)
+			todoKeys = append(todoKeys, keys[i])
 		}
-		return v.(error)
 	}
-	rep, err := chipletnet.VerifyConfig(cfg, verify.Options{MaxDests: 16, MaxSources: 8})
-	if err == nil {
-		err = rep.Err()
+	if len(todo) > 0 {
+		reps, errs := chipletnet.VerifyEach(todo, verify.Options{MaxDests: 16, MaxSources: 8})
+		for i, err := range errs {
+			if err == nil {
+				err = reps[i].Err()
+			}
+			if err != nil {
+				err = fmt.Errorf("pre-flight verification failed: %w", err)
+			}
+			preflightCache.Store(todoKeys[i], err)
+		}
 	}
-	if err != nil {
-		err = fmt.Errorf("pre-flight verification failed: %w", err)
-		preflightCache.Store(key, err)
-		return err
+	out := make([]error, len(cfgs))
+	for i, key := range keys {
+		if v, _ := preflightCache.Load(key); v != nil {
+			out[i] = v.(error)
+		}
 	}
-	preflightCache.Store(key, nil)
-	return nil
+	return out
 }
 
 // job is one pending simulation of an experiment: the configuration plus
@@ -128,10 +145,13 @@ type job struct {
 func runJobs(jobs []job) ([]Point, error) {
 	cfgs := make([]chipletnet.Config, len(jobs))
 	for i, j := range jobs {
-		if err := preflight(j.cfg); err != nil {
+		cfgs[i] = j.cfg
+	}
+	for i, err := range preflightAll(cfgs) {
+		if err != nil {
+			j := jobs[i]
 			return nil, fmt.Errorf("%s/%s at %s=%g: %w", j.exp, j.series, j.xname, j.x, err)
 		}
-		cfgs[i] = j.cfg
 	}
 	results, errs := chipletnet.RunEach(cfgs)
 	pts := make([]Point, len(jobs))
@@ -484,11 +504,13 @@ func WorkloadStudy(s Scale) ([]Point, error) {
 			cfg.Topology = topo
 			cfg.Workload = fmt.Sprintf(
 				"aiscaleout:allreduce-ring,data=256,compute=200,memrate=%g,reqrate=0.01", mr)
-			if err := preflight(cfg); err != nil {
-				return nil, fmt.Errorf("ext-workload-qos/%s at mem-rate=%g: %w", seriesName(topo), mr, err)
-			}
 			cfgs = append(cfgs, cfg)
 			labels = append(labels, seriesName(topo))
+		}
+	}
+	for i, err := range preflightAll(cfgs) {
+		if err != nil {
+			return nil, fmt.Errorf("ext-workload-qos/%s at mem-rate=%g: %w", labels[i], memRates[i%len(memRates)], err)
 		}
 	}
 	results, errs := chipletnet.RunEach(cfgs)

@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"chipletnet"
+	"chipletnet/internal/verify"
 )
 
 // tiny is the minimal scale for exercising the experiment plumbing.
@@ -300,5 +303,41 @@ func TestWriteSVGs(t *testing.T) {
 		if !strings.Contains(string(data), "<svg") {
 			t.Errorf("%s is not an SVG", p)
 		}
+	}
+}
+
+// TestRunJobsPreflightFirstFailureInJobOrder: runJobs certifies the
+// batch's distinct design points together, caches every verdict, and
+// reports the first failing job in job order with the message a
+// one-at-a-time pre-flight gives — before simulating anything.
+func TestRunJobsPreflightFirstFailureInJobOrder(t *testing.T) {
+	good := baseConfig(tiny)
+	good.Topology = chipletnet.HypercubeTopology(3)
+	bad := func(dims ...int) chipletnet.Config {
+		cfg := baseConfig(tiny)
+		cfg.Topology = chipletnet.NDMeshTopology(dims...)
+		cfg.DisableNDMeshVCSeparation = true
+		cfg.AllowUnsafeRouting = true
+		cfg.Seed = 4242 // a key no other test has cached
+		return cfg
+	}
+	jobs := []job{
+		{cfg: good, exp: "t", series: "good", x: 0.1, xname: "injection-rate"},
+		{cfg: bad(3, 2, 2), exp: "t", series: "bad-a", x: 0.1, xname: "injection-rate"},
+		{cfg: good, exp: "t", series: "good", x: 0.5, xname: "injection-rate"},
+		{cfg: bad(2, 2, 2), exp: "t", series: "bad-b", x: 0.5, xname: "injection-rate"},
+	}
+	_, err := runJobs(jobs)
+	rep, verr := chipletnet.VerifyConfig(jobs[1].cfg, verify.Options{MaxDests: 16, MaxSources: 8})
+	if verr != nil || rep.Err() == nil {
+		t.Fatalf("fixture is not a pre-flight failure: %v", verr)
+	}
+	want := "t/bad-a at injection-rate=0.1: pre-flight verification failed: " + rep.Err().Error()
+	if err == nil || err.Error() != want {
+		t.Fatalf("runJobs error:\n got %v\nwant %s", err, want)
+	}
+	errs := preflightAll([]chipletnet.Config{jobs[3].cfg, good})
+	if errs[0] == nil || errs[1] != nil {
+		t.Errorf("cached verdicts: bad-b %v, good %v", errs[0], errs[1])
 	}
 }

@@ -46,6 +46,15 @@
 // Injection channels belong to C1 but no link channel ever feeds them, so
 // they cannot participate in a cycle and are left out of the graph.
 //
+// Two pieces of bookkeeping keep the traversal cheap without changing what
+// it reports. Each round memoizes the escape step per node, filled the
+// first time the round asks, so EscapeStep is called on the same states in
+// the same order as without the memo (and a panicking state panics at the
+// same point). Channels are interned to dense int32 ids (pair id times the
+// VC count plus the VC), so C1, the CDG adjacency and cycle search run on
+// slices; ids turn back into Channel values only in witnesses, and
+// traversal, DFS and witness order are unchanged.
+//
 // The verdict is a structured Report carrying concrete witnesses (in
 // deterministic sorted order) when any proof obligation fails, and an
 // exportable content-addressable Certificate when all of them hold.
@@ -142,24 +151,7 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 		rep.Unsupported = fmt.Sprintf("routing %T does not expose RawCandidates for table compilation", sys.Fabric.Routing)
 		return rep
 	}
-	a := &analyzer{
-		sys:     sys,
-		rt:      rt,
-		raw:     raw,
-		opt:     opt,
-		rep:     rep,
-		routers: make([]*router.Router, len(sys.Nodes)),
-		dests:   sampleInts(sys.Cores, opt.MaxDests),
-		sources: sampleInts(sys.Cores, opt.MaxSources),
-		tags:    tagSet(sys),
-		c1:      make(map[Channel]bool),
-		adj:     make(map[Channel][]Channel),
-		seen:    make(map[[2]Channel]bool),
-		info:    make(map[[2]Channel][2]int),
-	}
-	for _, r := range sys.Fabric.Routers {
-		a.routers[r.Node] = r
-	}
+	a := newAnalyzer(sys, rt, raw, opt, rep)
 	rep.EscapeRequired = rt.EscapeRequired()
 	rep.Dests, rep.Tags = len(a.dests), len(a.tags)
 
@@ -179,8 +171,8 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 			}
 		}
 	}
-	rep.EscapeChannels = len(a.c1)
-	rep.DepEdges = len(a.seen)
+	rep.EscapeChannels = a.nc1
+	rep.DepEdges = len(a.edgeInfo)
 	a.findCycle()
 	a.finalize()
 	return rep
@@ -196,18 +188,43 @@ type analyzer struct {
 
 	dests, sources, tags []int
 
-	// c1 is the escape sub-network: every channel some escape step targets.
-	c1 map[Channel]bool
-	// adj is the CDG adjacency; order keeps its keys in first-insertion
-	// order so cycle detection is deterministic.
-	adj   map[Channel][]Channel
-	order []Channel
-	seen  map[[2]Channel]bool
-	info  map[[2]Channel][2]int // edge -> first inducing (dst, tag)
+	// Channels are interned to dense ids. Port i of node v carries pair
+	// pairBase[v]+i, and channel (v, to, vc) is pair*stride+vc for the
+	// first port of v leading to to and vc in [0, stride). A channel off
+	// that grid (not a link, or its VC out of range — only a defective
+	// escape function names one) gets the next id past the grid from
+	// extra. Ids are internal: witnesses convert back to Channel.
+	pairBase []int32
+	pairFrom []int32 // pair -> owning node
+	stride   int32
+	ndense   int32
+	extra    map[Channel]int32
+	extraCh  []Channel
+
+	// c1 is the escape sub-network: every channel some escape step
+	// targets, indexed by channel id; nc1 counts its members.
+	c1  []bool
+	nc1 int
+	// adj is the CDG adjacency by channel id; order lists its non-empty
+	// rows in first-insertion order so cycle detection is deterministic.
+	// edges maps from<<32|to to the edge's index in edgeInfo, which holds
+	// the first inducing (dst, tag).
+	adj      [][]int32
+	order    []int32
+	edges    map[uint64]int32
+	edgeInfo [][2]int
+
+	// Per-round escape memo: the round's escape step at node v, filled the
+	// first time the round asks for it (escState 0 unknown, escOK, escNone).
+	pkt      packet.Packet
+	escState []int8
+	escNext  []int
+	escVC    []int
 
 	// per-round scratch
 	visited []bool
 	mark    []bool
+	queue   []int
 	radj    [][]int // reverse candidate adjacency (reachability)
 	aadj    [][]int // forward adaptive-only adjacency (livelock)
 	acolor  []int8
@@ -215,26 +232,140 @@ type analyzer struct {
 	cands   []router.Candidate
 }
 
+const (
+	escOK   = 1
+	escNone = 2
+)
+
+func newAnalyzer(sys *topology.System, rt EscapeAnalyzer, raw RawCandidater, opt Options, rep *Report) *analyzer {
+	n := len(sys.Nodes)
+	a := &analyzer{
+		sys:      sys,
+		rt:       rt,
+		raw:      raw,
+		opt:      opt,
+		rep:      rep,
+		routers:  make([]*router.Router, n),
+		dests:    sampleInts(sys.Cores, opt.MaxDests),
+		sources:  sampleInts(sys.Cores, opt.MaxSources),
+		tags:     tagSet(sys),
+		pairBase: make([]int32, n),
+		stride:   int32(max(sys.LP.VCs, 1)),
+		extra:    make(map[Channel]int32),
+		edges:    make(map[uint64]int32),
+		escState: make([]int8, n),
+		escNext:  make([]int, n),
+		escVC:    make([]int, n),
+		visited:  make([]bool, n),
+		mark:     make([]bool, n),
+		queue:    make([]int, 0, n),
+		radj:     make([][]int, n),
+		aadj:     make([][]int, n),
+		acolor:   make([]int8, n),
+		adepth:   make([]int32, n),
+	}
+	for _, r := range sys.Fabric.Routers {
+		a.routers[r.Node] = r
+	}
+	for v := range sys.Nodes {
+		a.pairBase[v] = int32(len(a.pairFrom))
+		for range sys.Nodes[v].Ports {
+			a.pairFrom = append(a.pairFrom, int32(v))
+		}
+	}
+	a.ndense = int32(len(a.pairFrom)) * a.stride
+	a.c1 = make([]bool, a.ndense)
+	a.adj = make([][]int32, a.ndense)
+	return a
+}
+
+// pair returns the pair id of the first port of from leading to to, or -1.
+func (a *analyzer) pair(from, to int) int32 {
+	for i, pt := range a.sys.Nodes[from].Ports {
+		if pt.To == to {
+			return a.pairBase[from] + int32(i)
+		}
+	}
+	return -1
+}
+
+// id returns the id of channel (from, to, vc) given its pair id pr
+// (a.pair(from, to)), or -1 for an off-grid channel not yet interned.
+func (a *analyzer) id(pr int32, from, to, vc int) int32 {
+	if pr >= 0 && vc >= 0 && vc < int(a.stride) {
+		return pr*a.stride + int32(vc)
+	}
+	if id, ok := a.extra[Channel{from, to, vc}]; ok {
+		return id
+	}
+	return -1
+}
+
+// intern returns the id of channel (from, to, vc), numbering an off-grid
+// channel past the grid the first time it is seen.
+func (a *analyzer) intern(from, to, vc int) int32 {
+	if id := a.id(a.pair(from, to), from, to, vc); id >= 0 {
+		return id
+	}
+	id := a.ndense + int32(len(a.extraCh))
+	ch := Channel{from, to, vc}
+	a.extra[ch] = id
+	a.extraCh = append(a.extraCh, ch)
+	a.c1 = append(a.c1, false)
+	a.adj = append(a.adj, nil)
+	return id
+}
+
+// channel converts a channel id back to its Channel.
+func (a *analyzer) channel(id int32) Channel {
+	if id >= a.ndense {
+		return a.extraCh[id-a.ndense]
+	}
+	pr, vc := id/a.stride, id%a.stride
+	from := a.pairFrom[pr]
+	return Channel{int(from), a.sys.Nodes[from].Ports[pr-a.pairBase[from]].To, int(vc)}
+}
+
+// startRound resets the escape memo for a new (destination, tag) round and
+// returns the round's probe packet.
+func (a *analyzer) startRound(dst, tag int) *packet.Packet {
+	clear(a.escState)
+	a.pkt = packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
+	return &a.pkt
+}
+
+// escape returns the escape step of the round's packet at v. The routing
+// function is asked once per state and round, at the point the traversal
+// first needs the answer, so a panicking state panics exactly where an
+// unmemoized traversal would.
+func (a *analyzer) escape(v int) (next, vc int, ok bool) {
+	switch a.escState[v] {
+	case escOK:
+		return a.escNext[v], a.escVC[v], true
+	case escNone:
+		return 0, 0, false
+	}
+	next, vc, ok = a.rt.EscapeStep(v, &a.pkt)
+	if ok {
+		a.escState[v], a.escNext[v], a.escVC[v] = escOK, next, vc
+	} else {
+		a.escState[v] = escNone
+	}
+	return next, vc, ok
+}
+
 // round runs one (destination, tag) analysis round: a BFS over the
 // candidate graph from every injection point. With emit=false it grows C1
 // and runs the per-round checks; with emit=true it emits CDG edges.
 func (a *analyzer) round(dst, tag int, emit bool) {
-	p := &packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
+	p := a.startRound(dst, tag)
 	n := len(a.sys.Nodes)
-	if a.visited == nil {
-		a.visited = make([]bool, n)
-		a.mark = make([]bool, n)
-		a.radj = make([][]int, n)
-		a.aadj = make([][]int, n)
-		a.acolor = make([]int8, n)
-		a.adepth = make([]int32, n)
-	}
 	for i := 0; i < n; i++ {
 		a.visited[i] = false
 		a.radj[i] = a.radj[i][:0]
 		a.aadj[i] = a.aadj[i][:0]
 	}
-	queue := make([]int, 0, n)
+	queue := a.queue[:0]
 	for _, src := range a.sys.Cores {
 		if !a.visited[src] {
 			a.visited[src] = true
@@ -265,13 +396,14 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 			if a.opt.Sink != nil {
 				a.opt.Sink.State(v, dst, tag, a.cands, nsort)
 			}
-			enext, evc, eok := a.rt.EscapeStep(v, p)
+			enext, evc, eok := a.escape(v)
 			if eok {
 				if evc < 0 || evc >= vcs {
 					a.addVCViolation(fmt.Sprintf("escape VC %d outside [0,%d) at %v",
 						evc, vcs, StateRef{v, dst, tag}))
-				} else {
-					a.c1[Channel{v, enext, evc}] = true
+				} else if id := a.intern(v, enext, evc); !a.c1[id] {
+					a.c1[id] = true
+					a.nc1++
 				}
 			} else if a.rep.EscapeRequired {
 				a.addMissingEscape(StateRef{v, dst, tag})
@@ -299,13 +431,16 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 				// Extended CDG: the packet can occupy any candidate
 				// channel; from an escape channel its next request is
 				// its escape continuation at the far node.
-				if nn, nvc, ok := a.rt.EscapeStep(to, p); ok && nvc >= 0 && nvc < vcs {
-					tgt := Channel{to, nn, nvc}
+				if nn, nvc, ok := a.escape(to); ok && nvc >= 0 && nvc < vcs {
+					pr, tgt := a.pair(v, to), int32(-1)
 					for vc := 0; vc < len(o.Credits); vc++ {
 						if mask&(1<<uint(vc)) == 0 {
 							continue
 						}
-						if ch := (Channel{v, to, vc}); a.c1[ch] {
+						if ch := a.id(pr, v, to, vc); ch >= 0 && a.c1[ch] {
+							if tgt < 0 {
+								tgt = a.intern(to, nn, nvc)
+							}
 							a.addDep(ch, tgt, dst, tag)
 						}
 					}
@@ -323,13 +458,14 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 			}
 		}
 	}
+	a.queue = queue
 	if emit {
 		return
 	}
 	a.checkReach(dst, tag)
 	a.checkLivelock(dst, tag)
 	if a.rep.EscapeRequired {
-		a.checkEscapeWalk(dst, tag, p)
+		a.checkEscapeWalk(dst, tag)
 	}
 }
 
@@ -341,8 +477,7 @@ func (a *analyzer) checkReach(dst, tag int) {
 		a.mark[i] = false
 	}
 	a.mark[dst] = true
-	queue := make([]int, 0, n)
-	queue = append(queue, dst)
+	queue := append(a.queue[:0], dst)
 	for head := 0; head < len(queue); head++ {
 		for _, u := range a.radj[queue[head]] {
 			if !a.mark[u] {
@@ -351,6 +486,7 @@ func (a *analyzer) checkReach(dst, tag int) {
 			}
 		}
 	}
+	a.queue = queue
 	for _, src := range a.sys.Cores {
 		if src != dst && !a.mark[src] {
 			a.addUnreach(ReachFailure{Src: src, Dst: dst, Tag: tag,
@@ -441,7 +577,7 @@ func rotateMin(cycle []int) []int {
 // VC class must be non-decreasing (a packet may climb from the d- class to
 // the d+ class but never back), with the cross-chiplet hop resetting the
 // ordering for the next chiplet.
-func (a *analyzer) checkEscapeWalk(dst, tag int, p *packet.Packet) {
+func (a *analyzer) checkEscapeWalk(dst, tag int) {
 	bound := 4 * len(a.sys.Nodes)
 	for _, src := range a.sources {
 		if src == dst {
@@ -454,7 +590,7 @@ func (a *analyzer) checkEscapeWalk(dst, tag int, p *packet.Packet) {
 				done = true
 				break
 			}
-			next, vc, ok := a.rt.EscapeStep(v, p)
+			next, vc, ok := a.escape(v)
 			if !ok {
 				break
 			}
@@ -488,18 +624,17 @@ func (a *analyzer) checkEscapeWalk(dst, tag int, p *packet.Packet) {
 // Algorithm 5, not by channel ordering, so only the structure's own
 // acyclicity is the certifiable property.
 func (a *analyzer) emitWalkDeps(dst, tag int) {
-	p := &packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
+	a.startRound(dst, tag)
 	bound := 4 * len(a.sys.Nodes)
 	for _, src := range a.sys.Cores {
 		if src == dst {
 			continue
 		}
 		v := src
-		var prev Channel
-		havePrev := false
+		prev := int32(-1)
 		steps, prevVC, checkVC := 0, -1, true
 		for step := 0; step <= bound && v != dst; step++ {
-			next, vc, ok := a.rt.EscapeStep(v, p)
+			next, vc, ok := a.escape(v)
 			if !ok {
 				break
 			}
@@ -513,11 +648,11 @@ func (a *analyzer) emitWalkDeps(dst, tag int) {
 			} else {
 				prevVC = vc
 			}
-			cur := Channel{v, next, vc}
-			if havePrev {
+			cur := a.intern(v, next, vc)
+			if prev >= 0 {
 				a.addDep(prev, cur, dst, tag)
 			}
-			prev, havePrev = cur, true
+			prev = cur
 			v = next
 			steps++
 		}
@@ -527,14 +662,14 @@ func (a *analyzer) emitWalkDeps(dst, tag int) {
 	}
 }
 
-func (a *analyzer) addDep(from, to Channel, dst, tag int) {
-	e := [2]Channel{from, to}
-	if a.seen[e] {
+func (a *analyzer) addDep(from, to int32, dst, tag int) {
+	key := uint64(from)<<32 | uint64(to)
+	if _, ok := a.edges[key]; ok {
 		return
 	}
-	a.seen[e] = true
-	a.info[e] = [2]int{dst, tag}
-	if _, ok := a.adj[from]; !ok {
+	a.edges[key] = int32(len(a.edgeInfo))
+	a.edgeInfo = append(a.edgeInfo, [2]int{dst, tag})
+	if len(a.adj[from]) == 0 {
 		a.order = append(a.order, from)
 	}
 	a.adj[from] = append(a.adj[from], to)
@@ -548,11 +683,11 @@ func (a *analyzer) findCycle() {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[Channel]int, len(a.adj))
-	var stack []Channel
-	var cycle []Channel
-	var dfs func(c Channel) bool
-	dfs = func(c Channel) bool {
+	color := make([]int8, len(a.adj))
+	var stack []int32
+	var cycle []int32
+	var dfs func(c int32) bool
+	dfs = func(c int32) bool {
 		color[c] = gray
 		stack = append(stack, c)
 		for _, nx := range a.adj[c] {
@@ -581,8 +716,8 @@ func (a *analyzer) findCycle() {
 	}
 	for i := range cycle {
 		from, to := cycle[i], cycle[(i+1)%len(cycle)]
-		meta := a.info[[2]Channel{from, to}]
-		a.rep.Cycle = append(a.rep.Cycle, DepEdge{From: from, To: to, Dst: meta[0], Tag: meta[1]})
+		meta := a.edgeInfo[a.edges[uint64(from)<<32|uint64(to)]]
+		a.rep.Cycle = append(a.rep.Cycle, DepEdge{From: a.channel(from), To: a.channel(to), Dst: meta[0], Tag: meta[1]})
 	}
 }
 

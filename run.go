@@ -275,10 +275,10 @@ func (s *System) Simulate() (Result, error) {
 var ErrCanceled = errors.New("chipletnet: run canceled")
 
 // runMany is the shared parallel executor: it simulates every
-// configuration on a GOMAXPROCS-bounded worker pool and returns
-// per-configuration results and errors in input order (a panic in one
-// run is recovered into that run's error). Each configuration gets its
-// own Build, so no mutable state is shared between workers; output
+// configuration on the GOMAXPROCS-bounded worker pool (forEach) and
+// returns per-configuration results and errors in input order (a panic in
+// one run is recovered into that run's error). Each configuration gets
+// its own Build, so no mutable state is shared between workers; output
 // ordering is positional and therefore schedule-independent.
 //
 // The pool is island-aware: under EngineIslands each run brings its own
@@ -287,16 +287,29 @@ var ErrCanceled = errors.New("chipletnet: run canceled")
 // parallelism share one CPU budget instead of oversubscribing.
 func runMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
 	results := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
 	workers := runtime.GOMAXPROCS(0)
 	if UseEngine == EngineIslands {
 		if workers /= effectiveIslands(); workers < 1 {
 			workers = 1
 		}
 	}
+	errs := forEach(len(cfgs), workers, func(i int) (err error) {
+		results[i], err = runOne(ctx, cfgs[i])
+		return err
+	})
+	return results, errs
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most workers concurrent
+// goroutines and returns the errors by index. A panic in fn(i) is
+// recovered into errs[i]; the other items still run. This is the module
+// root's one worker pool: internal packages spawn no goroutines (see
+// cmd/chipletlint) and hand their batches to RunMany or VerifyEach.
+func forEach(n, workers int, fn func(i int) error) []error {
+	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range cfgs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -307,11 +320,11 @@ func runMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
 					errs[i] = fmt.Errorf("panic: %v", p)
 				}
 			}()
-			results[i], errs[i] = runOne(ctx, cfgs[i])
+			errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()
-	return results, errs
+	return errs
 }
 
 // runOne executes one configuration under ctx. Cancellation is observed

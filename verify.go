@@ -1,6 +1,8 @@
 package chipletnet
 
 import (
+	"runtime"
+
 	"chipletnet/internal/verify"
 )
 
@@ -34,4 +36,21 @@ func VerifyConfig(cfg Config, opt verify.Options) (*verify.Report, error) {
 		return nil, err
 	}
 	return sys.VerifyRouting(opt), nil
+}
+
+// VerifyEach builds and statically verifies every configuration on the
+// GOMAXPROCS-bounded worker pool RunMany uses, and returns the reports and
+// build errors in input order: reps[i] is non-nil exactly when errs[i] is
+// nil. A panic in one configuration's Build is recovered into that
+// configuration's error; the others still complete. Every analysis gets
+// the same opt, so opt.Sink, if set, must be safe for concurrent use.
+// This is how internal packages certify a batch of design points in
+// parallel without spawning goroutines themselves.
+func VerifyEach(cfgs []Config, opt verify.Options) (reps []*verify.Report, errs []error) {
+	reps = make([]*verify.Report, len(cfgs))
+	errs = forEach(len(cfgs), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		reps[i], err = VerifyConfig(cfgs[i], opt)
+		return err
+	})
+	return reps, errs
 }
