@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-fault test-checkpoint test-equiv fuzz test-dse test-daemon test-coordinator test-workload bench-json bench-dse-json bench-compiled bench-islands bench-workload vet lint check figures
+.PHONY: build test test-fault test-checkpoint test-equiv fuzz test-dse test-daemon test-coordinator test-workload bench bench-compare vet lint check figures
 
 build:
 	$(GO) build ./...
@@ -107,53 +107,48 @@ test-workload:
 	$(GO) test -race -run 'Trace|Import|Record|Replay|AIScaleOut|Percentile|ClassS|Workload|ParseFlag|SpecHash|Split' ./internal/workload ./internal/traffic ./internal/stats .
 	$(GO) test -race -run FuzzTraceRoundTrip ./internal/traffic
 
-# bench-dse-json regenerates the committed design-space-exploration
-# benchmark baseline (BENCH_dse.json): cache-cold exploration, cache-warm
-# exploration (zero simulations), and the cache-hit micro path.
-bench-dse-json:
-	$(GO) run ./cmd/chipletbench -suite dse -count 2 -out BENCH_dse.json
+# bench runs the one benchmark (bench/README.md): seven workloads timed
+# end to end, one traced pass, the report in .bench_build/report.json.
+bench:
+	$(GO) run ./bench
 
-# bench-json regenerates the committed hot-path benchmark baseline
-# (BENCH_hotpath.json): every workload under both cycle engines.
-bench-json:
-	$(GO) run ./cmd/chipletbench -count 2 -out BENCH_hotpath.json
-
-# bench-compiled regenerates the committed compiled-routing benchmark
-# baseline (BENCH_compiled.json): steady-state simulation on certified
-# flat-array tables vs the per-hop interpreter, plus the Build-time
-# certification + compilation cost.
-bench-compiled:
-	$(GO) run ./cmd/chipletbench -suite compiled -count 2 -out BENCH_compiled.json
-
-# bench-islands regenerates the committed parallel-islands benchmark
-# baseline (BENCH_islands.json): the 256-chiplet steady-state workload
-# under the islands engine at K=4 and K=1 vs the serial active-set
-# engine. The 1.5x K=4 speedup gate applies on machines with >= 4 CPUs
-# and degrades to the parity floor below that (the JSON Note records the
-# CPU count the committed numbers were taken on).
-bench-islands:
-	$(GO) run ./cmd/chipletbench -suite islands -count 2 -out BENCH_islands.json
-
-# bench-workload regenerates the committed trace-replay benchmark
-# baseline (BENCH_workload.json): a synthetic hypercube run vs a causal
-# replay of its own recorded trace (the 0.84 relative floor bounds
-# replay overhead at ~1.2x), plus the AI-scale-out generator as an
-# allocation canary.
-bench-workload:
-	$(GO) run ./cmd/chipletbench -suite workload -count 2 -out BENCH_workload.json
+# bench-compare judges this checkout against BASE, any git revision that
+# has bench/: it checks BASE out into a worktree under .bench_build/, runs
+# N default benchmark passes per side (alternating which side goes
+# first), then prints `bench -compare <base set> <head set>` and exits
+# with its status — 1 on any `worse` row, failed op or digest mismatch.
+# Each pass takes about two minutes, so this stays out of check.
+#
+#	make bench-compare BASE=HEAD~1 [N=4]
+N ?= 4
+bench-compare:
+	@if [ -z "$(BASE)" ]; then echo "bench-compare: usage: make bench-compare BASE=<rev> [N=4]" >&2; exit 2; fi; \
+	if ! git cat-file -e "$(BASE)^{tree}" 2>/dev/null; then echo "bench-compare: $(BASE) is not a git revision" >&2; exit 2; fi; \
+	if ! git cat-file -e "$(BASE):bench/main.go" 2>/dev/null; then echo "bench-compare: $(BASE) has no bench/ directory; nothing to compare against" >&2; exit 2; fi; \
+	wt=.bench_build/base; out=.bench_build/compare; \
+	trap 'git worktree remove --force '$$wt' 2>/dev/null; git worktree prune' EXIT; trap 'exit 130' INT TERM; \
+	git worktree remove --force $$wt 2>/dev/null; git worktree prune; \
+	git worktree add --quiet --detach $$wt "$(BASE)" || exit 2; \
+	rm -rf $$out; mkdir -p $$out; abs=$$(cd $$out && pwd); a=; b=; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			dir=.; if [ $$side = base ]; then dir=$$wt; fi; \
+			echo "bench-compare: pass $$i/$(N), $$side"; \
+			(cd $$dir && $(GO) run ./bench -out $$abs/$$side-$$i.json > $$abs/$$side-$$i.log 2>&1) || \
+				echo "bench-compare: $$side pass $$i exited $$? (see $$out/$$side-$$i.log)"; \
+		done; \
+		a=$${a:+$$a,}$$out/base-$$i.json; b=$${b:+$$b,}$$out/head-$$i.json; \
+	done; \
+	$(GO) run ./bench -compare $$a $$b
 
 # check is the pre-PR gate: go vet, build, the full test suite under the
-# race detector (including the -race equivalence matrices of test-equiv),
-# the determinism linter over ./..., and the benchmark gates (the
-# active-set engine must hold its speedup over the reference stepper, and
-# both suites their allocs/op against the committed baselines).
+# race detector (including the -race equivalence matrices of test-equiv)
+# and the determinism linter over ./... . It runs no wall-clock gate;
+# performance is judged by bench-compare.
 check: vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
 	$(GO) test -race -timeout 20m ./...
 	$(GO) run ./cmd/chipletlint ./...
-	$(GO) run ./cmd/chipletbench -check BENCH_hotpath.json
-	$(GO) run ./cmd/chipletbench -suite compiled -check BENCH_compiled.json
-	$(GO) run ./cmd/chipletbench -suite islands -count 2 -check BENCH_islands.json
-	$(GO) run ./cmd/chipletbench -suite workload -count 2 -check BENCH_workload.json
 
 figures:
 	$(GO) run ./cmd/chipletfig -scale quick -out results all

@@ -29,16 +29,16 @@ func main() {
 	flag.Parse()
 
 	cfg := chipletnet.DefaultConfig()
-	dimInts, err := parseInts(*dims)
+	dimInts, err := parseInts(*dims, ",")
 	if err != nil {
 		fatalf("bad -dims: %v", err)
 	}
 	cfg.Topology = chipletnet.Topology{Kind: *topoKind, Dims: dimInts}
-	parts := strings.Split(strings.ToLower(*noc), "x")
-	if len(parts) == 2 {
-		cfg.ChipletW, _ = strconv.Atoi(parts[0])
-		cfg.ChipletH, _ = strconv.Atoi(parts[1])
+	wh, err := parseInts(strings.ToLower(*noc), "x")
+	if err != nil || len(wh) != 2 {
+		fatalf("bad -noc: want WxH, got %q", *noc)
 	}
+	cfg.ChipletW, cfg.ChipletH = wh[0], wh[1]
 
 	sys, err := chipletnet.Build(cfg)
 	if err != nil {
@@ -150,9 +150,9 @@ func main() {
 	}
 }
 
-func parseInts(s string) ([]int, error) {
+func parseInts(s, sep string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
+	for _, part := range strings.Split(s, sep) {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err

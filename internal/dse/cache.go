@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -101,7 +100,7 @@ type cacheLine struct {
 
 // Cache is the content-addressed evaluation store: a map from candidate
 // key to Record, persisted as an append-only JSONL file fsynced after
-// every record (the campaign-journal idiom; see internal/experiments).
+// every record (jsonl.Appender, shared with every journal).
 // A process killed mid-append leaves at most one torn final line, which
 // OpenCache drops from the file before appending resumes; any other
 // corrupt line is quarantined to a .rej sidecar and the later valid
@@ -112,8 +111,8 @@ type cacheLine struct {
 // Cache is safe for concurrent use; cmd/chipletdse and the campaign
 // daemon record from worker pools.
 type Cache struct {
-	mu          sync.Mutex
-	f           *os.File // nil when memory-only
+	mu          sync.Mutex      // held across Append so file and recs agree on order
+	log         *jsonl.Appender // nil when memory-only
 	recs        map[string]Record
 	quarantined int
 }
@@ -145,11 +144,9 @@ func OpenCache(path string) (*Cache, error) {
 		return nil, fmt.Errorf("dse: cache %s: %w", path, err)
 	}
 	c.quarantined = q
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if c.log, err = jsonl.OpenAppender(path); err != nil {
 		return nil, err
 	}
-	c.f = f
 	return c, nil
 }
 
@@ -178,11 +175,8 @@ func (c *Cache) Put(rec Record) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f != nil {
-		if _, err := c.f.Write(append(line, '\n')); err != nil {
-			return err
-		}
-		if err := c.f.Sync(); err != nil {
+	if c.log != nil {
+		if err := c.log.Append(line); err != nil {
 			return err
 		}
 	}
@@ -221,10 +215,10 @@ func (c *Cache) Quarantined() int {
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }

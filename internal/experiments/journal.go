@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"chipletnet/internal/jsonl"
@@ -38,8 +37,8 @@ type JournalEntry struct {
 // Record is safe for concurrent use; the campaign supervisor calls it
 // from its worker pool.
 type Journal struct {
-	mu          sync.Mutex
-	f           *os.File
+	mu          sync.Mutex // held across Append so file and entries agree on order
+	log         *jsonl.Appender
 	entries     map[string]JournalEntry
 	quarantined int
 }
@@ -62,11 +61,11 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: journal %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := jsonl.OpenAppender(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, entries: entries, quarantined: quarantined}, nil
+	return &Journal{log: log, entries: entries, quarantined: quarantined}, nil
 }
 
 // Quarantined returns how many corrupt lines OpenJournal moved to the
@@ -82,10 +81,7 @@ func (j *Journal) Record(e JournalEntry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return err
 	}
 	j.entries[e.Key] = e
@@ -111,8 +107,4 @@ func (j *Journal) Done(key string) ([]Point, bool) {
 }
 
 // Close closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }

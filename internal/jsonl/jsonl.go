@@ -17,6 +17,9 @@
 // file + sync + rename, the internal/checkpoint idiom) containing only
 // the valid lines, so appends resume on a clean file and a re-open
 // quarantines nothing. Stores that compact themselves use Rewrite too.
+//
+// The write half is Appender: every store opens one after Load and
+// appends through it, so the append-and-fsync discipline lives here once.
 package jsonl
 
 import (
@@ -24,7 +27,73 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 )
+
+// Appender is the durable write handle of a JSONL store: each Append
+// writes one line and fsyncs it before returning, so an acknowledged
+// entry survives any crash that follows. Appends are never batched — a
+// crash loses at most the line being written, which Load then drops as a
+// torn tail. Appender is safe for concurrent use; a store that also keeps
+// an in-memory index holds its own lock across Append so the file order
+// and the index order agree.
+type Appender struct {
+	mu   sync.Mutex
+	path string
+	f    *os.File
+	buf  []byte // line + '\n', reused so each Append is one write
+}
+
+// OpenAppender opens (creating if needed) the store at path for
+// appending. Open it after Load, which repairs a damaged tail, so appends
+// start on a clean line.
+func OpenAppender(path string) (*Appender, error) {
+	f, err := openAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Appender{path: path, f: f}, nil
+}
+
+func openAppend(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// Append writes line and a newline in one write, then fsyncs.
+func (a *Appender) Append(line []byte) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.buf = append(append(a.buf[:0], line...), '\n')
+	if _, err := a.f.Write(a.buf); err != nil {
+		return err
+	}
+	return a.f.Sync()
+}
+
+// Rewrite atomically replaces the store with lines (see the package-level
+// Rewrite) and reopens the append handle on the new file, so later
+// appends land after lines and not in the renamed-away original.
+func (a *Appender) Rewrite(lines [][]byte) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := Rewrite(a.path, lines); err != nil {
+		return err
+	}
+	f, err := openAppend(a.path)
+	if err != nil {
+		return err
+	}
+	a.f.Close() // every append through it was already synced
+	a.f = f
+	return nil
+}
+
+// Close closes the append handle.
+func (a *Appender) Close() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.f.Close()
+}
 
 // Load reads the append-only JSONL file at path and feeds every non-empty
 // line to accept in file order. Lines accept rejects are quarantined to
@@ -107,21 +176,17 @@ func quarantine(path string, lines [][]byte) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	a, err := OpenAppender(path)
 	if err != nil {
 		return err
 	}
 	for _, line := range fresh {
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			f.Close()
+		if err := a.Append(line); err != nil {
+			a.Close()
 			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return a.Close()
 }
 
 // Rewrite atomically replaces path with the given lines: the bytes go to

@@ -3,8 +3,10 @@ package jsonl
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -173,6 +175,144 @@ func TestLoadTornTailOnly(t *testing.T) {
 	}
 	if string(data) != `{"K":"a","V":1}`+"\n" {
 		t.Errorf("repaired file = %q", data)
+	}
+}
+
+func openAppender(t *testing.T, path string) *Appender {
+	t.Helper()
+	a, err := OpenAppender(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func appendLine(t *testing.T, a *Appender, line string) {
+	t.Helper()
+	if err := a.Append([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestAppendSurvivesReopen: appended entries are on disk after Close and
+// load back, in order, through Load; a second appender on the same file
+// continues after them.
+func TestAppendSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	a := openAppender(t, path)
+	appendLine(t, a, `{"K":"a","V":1}`)
+	appendLine(t, a, `{"K":"b","V":2}`)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, q := loadEntries(t, path); len(got) != 2 || got[0] != (entry{"a", 1}) || got[1] != (entry{"b", 2}) || q != 0 {
+		t.Fatalf("reloaded %v (quarantined %d), want [a b]", got, q)
+	}
+
+	a = openAppender(t, path)
+	appendLine(t, a, `{"K":"c","V":3}`)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := loadEntries(t, path); len(got) != 3 || got[2] != (entry{"c", 3}) {
+		t.Errorf("after reopen loaded %v, want [a b c]", got)
+	}
+}
+
+// TestAppendConcurrent: appends from several goroutines never interleave
+// within a line; every entry loads back intact.
+func TestAppendConcurrent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	a := openAppender(t, path)
+	const writers, each = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := a.Append([]byte(fmt.Sprintf(`{"K":"w%d","V":%d}`, w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, q := loadEntries(t, path)
+	if len(got) != writers*each || q != 0 {
+		t.Fatalf("loaded %d entries (quarantined %d), want %d and 0", len(got), q, writers*each)
+	}
+	next := map[string]int{}
+	for _, e := range got {
+		if e.V != next[e.K] {
+			t.Fatalf("writer %s: entry %d out of order (want %d)", e.K, e.V, next[e.K])
+		}
+		next[e.K]++
+	}
+}
+
+// TestAppendAfterRewrite: Rewrite swaps the append handle onto the new
+// file, so the next append follows the rewritten lines and never reaches
+// the renamed-away original (kept reachable here through a hard link).
+func TestAppendAfterRewrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.jsonl")
+	a := openAppender(t, path)
+	defer a.Close()
+	appendLine(t, a, `{"K":"old","V":1}`)
+	old := filepath.Join(dir, "old.jsonl")
+	if err := os.Link(path, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := a.Rewrite([][]byte{[]byte(`{"K":"kept","V":2}`)}); err != nil {
+		t.Fatal(err)
+	}
+	appendLine(t, a, `{"K":"new","V":3}`)
+
+	if got, want := readFile(t, path), `{"K":"kept","V":2}`+"\n"+`{"K":"new","V":3}`+"\n"; got != want {
+		t.Errorf("rewritten store = %q, want %q", got, want)
+	}
+	if got, want := readFile(t, old), `{"K":"old","V":1}`+"\n"; got != want {
+		t.Errorf("renamed-away original = %q, want %q (append leaked into it)", got, want)
+	}
+}
+
+// TestAppendAfterTornTailRepair: Load truncates a torn final line, so an
+// appender opened afterwards writes on a clean line boundary and the file
+// reloads with nothing dropped or quarantined.
+func TestAppendAfterTornTailRepair(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	write(t, path, `{"K":"a","V":1}`+"\n"+`{"K":"b"`)
+	if got, _ := loadEntries(t, path); len(got) != 1 {
+		t.Fatalf("loaded %v, want just a", got)
+	}
+	a := openAppender(t, path)
+	appendLine(t, a, `{"K":"c","V":3}`)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readFile(t, path), `{"K":"a","V":1}`+"\n"+`{"K":"c","V":3}`+"\n"; got != want {
+		t.Errorf("store = %q, want %q", got, want)
+	}
+	if got, q := loadEntries(t, path); len(got) != 2 || q != 0 {
+		t.Errorf("reload got %v (quarantined %d), want [a c] and 0", got, q)
+	}
+	if _, err := os.Stat(path + ".rej"); !os.IsNotExist(err) {
+		t.Error("torn-tail repair and append must not create a quarantine sidecar")
 	}
 }
 

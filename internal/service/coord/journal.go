@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"chipletnet/internal/jsonl"
 )
@@ -34,11 +32,7 @@ type leaseEvent struct {
 // leaseLog is the fsynced append-only lease journal — the jobs.jsonl
 // discipline applied to lease transitions (see internal/jsonl for the
 // shared damage model: torn tails dropped, corrupt lines quarantined).
-type leaseLog struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-}
+type leaseLog struct{ *jsonl.Appender }
 
 // openLeaseLog opens (creating if needed) the journal at path and
 // returns the replayable events plus the count of quarantined lines.
@@ -58,17 +52,16 @@ func openLeaseLog(path string) (*leaseLog, []leaseEvent, int, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("coord: lease journal %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	a, err := jsonl.OpenAppender(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &leaseLog{path: path, f: f}, events, quarantined, nil
+	return &leaseLog{a}, events, quarantined, nil
 }
 
 // rewrite atomically replaces the journal with events — the compaction
-// path: jsonl.Rewrite's temp-file/sync/rename, plus reopening the append
-// handle on the new file. A crash mid-rewrite leaves either the old
-// journal (compacted again next open) or the new one, never a
+// path (jsonl.Appender.Rewrite). A crash mid-rewrite leaves either the
+// old journal (compacted again next open) or the new one, never a
 // half-written mix.
 func (l *leaseLog) rewrite(events []leaseEvent) error {
 	lines := make([][]byte, len(events))
@@ -79,18 +72,7 @@ func (l *leaseLog) rewrite(events []leaseEvent) error {
 		}
 		lines[i] = line
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := jsonl.Rewrite(l.path, lines); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.f.Close()
-	l.f = f
-	return nil
+	return l.Rewrite(lines)
 }
 
 // record appends one event and syncs it to disk before returning, so a
@@ -100,17 +82,5 @@ func (l *leaseLog) record(e leaseEvent) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *leaseLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.Append(line)
 }

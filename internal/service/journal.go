@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"chipletnet/internal/jsonl"
 )
@@ -36,10 +34,7 @@ type jobEvent struct {
 // store in this repository it tolerates a torn final line (crash
 // mid-append) and quarantines corrupt interior lines to a .rej sidecar
 // instead of refusing the file (see internal/jsonl).
-type jobLog struct {
-	mu sync.Mutex
-	f  *os.File
-}
+type jobLog struct{ *jsonl.Appender }
 
 // openJobLog opens (creating if needed) the journal at path and returns
 // the replayable events plus the count of quarantined lines.
@@ -59,11 +54,11 @@ func openJobLog(path string) (*jobLog, []jobEvent, int, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("service: job journal %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	a, err := jsonl.OpenAppender(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &jobLog{f: f}, events, quarantined, nil
+	return &jobLog{a}, events, quarantined, nil
 }
 
 // record appends one event and syncs it to disk before returning, so a
@@ -73,17 +68,5 @@ func (l *jobLog) record(e jobEvent) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *jobLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.Append(line)
 }
