@@ -64,11 +64,12 @@ fuzz:
 # detector — enumeration/pruning determinism, the verify pre-flight
 # rejections and the GOMAXPROCS-independent plan, cache round-trip and
 # crash tolerance, the cold-then-warm byte-identical-report gate, the
-# chipletdse flag parsers — then the parallel certification pool
+# command-line parsers chipletdse binds its flags with (cmd/internal/cli,
+# shared by every command) — then the parallel certification pool
 # (VerifyEach) and the certifier's pinned output (TestCertificateGolden),
 # plus the Pareto-frontier invariant fuzz seed corpus.
 test-dse:
-	$(GO) test -race ./internal/dse ./cmd/chipletdse
+	$(GO) test -race ./internal/dse ./cmd/internal/cli
 	$(GO) test -race -run 'VerifyEach|CertificateGolden' . ./internal/verify
 	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
 

@@ -54,7 +54,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"log"
 	"net"
 	"net/http"
@@ -63,7 +62,7 @@ import (
 	"syscall"
 	"time"
 
-	"chipletnet"
+	"chipletnet/cmd/internal/cli"
 	"chipletnet/internal/service"
 	"chipletnet/internal/service/backoff"
 	"chipletnet/internal/service/coord"
@@ -72,10 +71,9 @@ import (
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main without os.Exit, so tests drive the daemon in-process or
-// as a helper child. Flags live on a private FlagSet to avoid colliding
-// with the test binary's.
+// as a helper child.
 func run(args []string) int {
-	fs := flag.NewFlagSet("chipletd", flag.ContinueOnError)
+	fs := cli.New("chipletd")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	dir := fs.String("dir", "chipletd-state", "state directory (job journal, sharded evaluation cache, checkpoints)")
 	workers := fs.Int("workers", 1, "concurrent jobs")
@@ -84,7 +82,7 @@ func run(args []string) int {
 	backoffBase := fs.Duration("backoff-base", 100*time.Millisecond, "delay before the first retry (doubles per retry)")
 	backoffCap := fs.Duration("backoff-cap", 5*time.Second, "upper bound on the retry delay")
 	ckptEvery := fs.Int64("checkpoint-every", 2000, "snapshot simulate jobs every N cycles")
-	engine := fs.String("engine", "active", "cycle engine: active | reference | islands[:K] (bit-identical results)")
+	fs.Engine()
 	coordinator := fs.Bool("coordinator", false, "serve the fleet coordinator: distribute DSE jobs across joined workers")
 	workerMode := fs.Bool("worker", false, "join a coordinator as a worker (requires -join)")
 	join := fs.String("join", "", "coordinator base URL to join (http://host:port)")
@@ -92,14 +90,10 @@ func run(args []string) int {
 	heartbeat := fs.Duration("heartbeat", time.Second, "worker heartbeat interval (keep well inside the coordinator's TTL)")
 	heartbeatTTL := fs.Duration("heartbeat-ttl", 10*time.Second, "coordinator: lease/liveness TTL after a worker's last heartbeat")
 	grace := fs.Duration("grace", time.Minute, "coordinator: how long a campaign survives a fully-dead fleet before degrading")
-	if err := fs.Parse(args); err != nil {
+	if fs.Parse(args) != nil {
 		return 1
 	}
 	logger := log.New(os.Stderr, "chipletd: ", 0)
-	if err := chipletnet.SetEngine(*engine); err != nil {
-		logger.Printf("%v", err)
-		return 1
-	}
 	if *coordinator && *workerMode {
 		logger.Printf("-coordinator and -worker are mutually exclusive")
 		return 1

@@ -31,165 +31,128 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 
-	"chipletnet"
+	"chipletnet/cmd/internal/cli"
 	"chipletnet/internal/dse"
 )
 
 func main() {
-	chiplets := flag.Int("chiplets", 16, "chiplet budget (every candidate uses exactly this many)")
-	nocs := flag.String("noc", "4x4", "candidate on-chiplet NoC sizes, comma separated (e.g. 4x4,8x8)")
-	topologies := flag.String("topologies", "", "topology families to search, comma separated (default all: "+strings.Join(dse.TopologyKinds(), ",")+")")
-	routing := flag.String("routing", "", "routing modes to search, comma separated (default all: "+strings.Join(dse.RoutingModes(), ",")+")")
-	interleave := flag.String("interleave", "", "interleaving grains to search, comma separated (default none,message,packet)")
-	offBW := flag.String("offchip-bw", "", "chiplet-to-chiplet bandwidths in flits/cycle, comma separated (default 2)")
-	fanouts := flag.String("tree-fanouts", "", "tree fan-outs to search, comma separated (default 2,3,4)")
-	maxPorts := flag.Int("max-ports", 0, "per-chiplet interface port cap (0 = unconstrained)")
-	pinBudget := flag.Int("pin-budget", 0, "per-chiplet off-chip pin budget in bits/cycle per direction (0 = unconstrained)")
-	minGroupWidth := flag.Int("min-group-width", 0, "minimum interface nodes per group (link redundancy; 0 = unconstrained)")
-	pattern := flag.String("pattern", "uniform", "traffic pattern candidates are evaluated under")
-	workloads := flag.String("workloads", "", "workload axis: specs separated by ';' (replay:<path> | aiscaleout:<spec>; empty entry = synthetic traffic; default synthetic only)")
-	rates := flag.String("rates", "", "injection-rate ladder, comma separated (default 0.05,0.15,0.3,0.5,0.8)")
-	zeroLoad := flag.Float64("zero-load-rate", 0, "light-load probe rate for latency/energy (default 0.02)")
-	warmup := flag.Int64("warmup", 0, "warm-up cycles per run (default 300)")
-	measure := flag.Int64("measure", 0, "measured cycles per run (default 1500)")
-	seed := flag.Uint64("seed", 1, "random seed (part of the evaluation cache key)")
-	cachePath := flag.String("cache", "", "content-addressed evaluation cache: a JSONL file, or a directory for the 16-way sharded cache (trailing / or an existing directory; shards merge across machines with -merge)")
-	mergeSrcs := flag.String("merge", "", "comma-separated caches (files or shard directories) to merge into -cache, then exit")
-	outDir := flag.String("out", "", "directory for the report set (candidates.csv, frontier.csv, frontier.json, topoviz script, per-design configs)")
-	asJSON := flag.Bool("json", false, "emit the full report as JSON on stdout")
-	engine := flag.String("engine", "active", "cycle engine: active | reference | islands[:K] (bit-identical results; reference is the slow oracle)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent candidate evaluations")
-	verbose := flag.Bool("v", false, "list pruned and rejected candidates on stderr")
-	flag.Parse()
+	fs := cli.New("chipletdse")
+	space := dse.Space{NoCs: [][2]int{{4, 4}}}
+	var params dse.Params // zero fields take dse.DefaultParams
+	var mergeSrcs []string
+	fs.IntVar(&space.Chiplets, "chiplets", 16, "chiplet budget (every candidate uses exactly this many)")
+	fs.NoCsVar(&space.NoCs, "noc", "candidate on-chiplet NoC sizes, comma separated (e.g. 4x4,8x8)")
+	fs.ListVar(&space.Topologies, "topologies", "topology families to search, comma separated (default all: "+strings.Join(dse.TopologyKinds(), ",")+")")
+	fs.ListVar(&space.Routings, "routing", "routing modes to search, comma separated (default all: "+strings.Join(dse.RoutingModes(), ",")+")")
+	fs.ListVar(&space.Interleavings, "interleave", "interleaving grains to search, comma separated (default none,message,packet)")
+	fs.IntsVar(&space.OffChipBWs, "offchip-bw", "chiplet-to-chiplet bandwidths in flits/cycle, comma separated (default 2)")
+	fs.IntsVar(&space.TreeFanouts, "tree-fanouts", "tree fan-outs to search, comma separated (default 2,3,4)")
+	fs.IntVar(&space.MaxPorts, "max-ports", 0, "per-chiplet interface port cap (0 = unconstrained)")
+	fs.IntVar(&space.PinBudgetBits, "pin-budget", 0, "per-chiplet off-chip pin budget in bits/cycle per direction (0 = unconstrained)")
+	fs.IntVar(&space.MinGroupWidth, "min-group-width", 0, "minimum interface nodes per group (link redundancy; 0 = unconstrained)")
+	fs.StringVar(&space.Pattern, "pattern", "uniform", "traffic pattern candidates are evaluated under")
+	workloads := fs.String("workloads", "", "workload axis: specs separated by ';' (replay:<path> | aiscaleout:<spec>; empty entry = synthetic traffic; default synthetic only)")
+	fs.FloatsVar(&params.Rates, "rates", "injection-rate ladder, comma separated (default 0.05,0.15,0.3,0.5,0.8)")
+	fs.Float64Var(&params.ZeroLoadRate, "zero-load-rate", 0, "light-load probe rate for latency/energy (default 0.02)")
+	fs.Int64Var(&params.WarmupCycles, "warmup", 0, "warm-up cycles per run (default 300)")
+	fs.Int64Var(&params.MeasureCycles, "measure", 0, "measured cycles per run (default 1500)")
+	fs.Uint64Var(&params.Seed, "seed", 1, "random seed (part of the evaluation cache key)")
+	cachePath := fs.String("cache", "", "content-addressed evaluation cache: a JSONL file, or a directory for the 16-way sharded cache (trailing / or an existing directory; shards merge across machines with -merge)")
+	fs.ListVar(&mergeSrcs, "merge", "comma-separated caches (files or shard directories) to merge into -cache, then exit")
+	outDir := fs.String("out", "", "directory for the report set (candidates.csv, frontier.csv, frontier.json, topoviz script, per-design configs)")
+	asJSON := fs.Bool("json", false, "emit the full report as JSON on stdout")
+	fs.Engine()
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent candidate evaluations")
+	verbose := fs.Bool("v", false, "list pruned and rejected candidates on stderr")
+	fs.MustParse()
 
-	if err := chipletnet.SetEngine(*engine); err != nil {
-		fatalf("%v", err)
-	}
-	if flag.NArg() > 0 {
-		fatalf("unexpected arguments %v", flag.Args())
-	}
-
-	space := dse.Space{
-		Chiplets:      *chiplets,
-		Topologies:    splitList(*topologies),
-		Routings:      splitList(*routing),
-		Interleavings: splitList(*interleave),
-		MaxPorts:      *maxPorts,
-		PinBudgetBits: *pinBudget,
-		MinGroupWidth: *minGroupWidth,
-		Pattern:       *pattern,
+	if fs.NArg() > 0 {
+		cli.Fatalf("unexpected arguments %v", fs.Args())
 	}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ";") {
 			space.Workloads = append(space.Workloads, strings.TrimSpace(w))
 		}
 	}
-	var err error
-	if space.NoCs, err = parseNoCs(*nocs); err != nil {
-		fatalf("bad -noc: %v", err)
-	}
-	if space.OffChipBWs, err = parseInts(*offBW); err != nil {
-		fatalf("bad -offchip-bw: %v", err)
-	}
-	if space.TreeFanouts, err = parseInts(*fanouts); err != nil {
-		fatalf("bad -tree-fanouts: %v", err)
-	}
-
-	params := dse.DefaultParams()
-	params.Seed = *seed
-	if *warmup > 0 {
-		params.WarmupCycles = *warmup
-	}
-	if *measure > 0 {
-		params.MeasureCycles = *measure
-	}
-	if *zeroLoad > 0 {
-		params.ZeroLoadRate = *zeroLoad
-	}
-	if params.Rates, err = parseFloats(*rates); err != nil {
-		fatalf("bad -rates: %v", err)
-	}
 
 	cache, err := dse.OpenStore(*cachePath)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	defer cache.Close()
 	if q := cache.Quarantined(); q > 0 {
-		logf("warning: quarantined %d corrupt cache lines to .rej sidecars (kept %d records)", q, cache.Len())
+		cli.Logf("warning: quarantined %d corrupt cache lines to .rej sidecars (kept %d records)", q, cache.Len())
 	}
 
-	if *mergeSrcs != "" {
+	if len(mergeSrcs) > 0 {
 		if *cachePath == "" {
-			fatalf("-merge needs -cache to merge into")
+			cli.Fatalf("-merge needs -cache to merge into")
 		}
 		total := 0
-		for _, src := range splitList(*mergeSrcs) {
+		for _, src := range mergeSrcs {
 			from, err := dse.OpenStore(src)
 			if err != nil {
-				fatalf("opening merge source %s: %v", src, err)
+				cli.Fatalf("opening merge source %s: %v", src, err)
 			}
 			if q := from.Quarantined(); q > 0 {
-				logf("warning: merge source %s: quarantined %d corrupt lines", src, q)
+				cli.Logf("warning: merge source %s: quarantined %d corrupt lines", src, q)
 			}
 			added, err := dse.Merge(cache, from)
 			from.Close()
 			if err != nil {
-				fatalf("merging %s: %v", src, err)
+				cli.Fatalf("merging %s: %v", src, err)
 			}
-			logf("merged %s: %d new records (%d already present)", src, added, from.Len()-added)
+			cli.Logf("merged %s: %d new records (%d already present)", src, added, from.Len()-added)
 			total += added
 		}
-		logf("cache now holds %d records (+%d)", cache.Len(), total)
+		cli.Logf("cache now holds %d records (+%d)", cache.Len(), total)
 		return
 	}
 
 	plan, err := dse.NewPlan(space, params, cache)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
-	logf("%d candidates enumerated: %d statically pruned, %d rejected by verify pre-flight, %d verified",
+	cli.Logf("%d candidates enumerated: %d statically pruned, %d rejected by verify pre-flight, %d verified",
 		len(plan.Candidates)+len(plan.Rejected), len(plan.Pruned), len(plan.Rejected), len(plan.Candidates))
-	logf("%d cache hits, %d to simulate (workers=%d)", len(plan.Hits), len(plan.Pending), *workers)
+	cli.Logf("%d cache hits, %d to simulate (workers=%d)", len(plan.Hits), len(plan.Pending), *workers)
 	if *verbose {
 		for _, p := range plan.Pruned {
-			logf("  pruned   %s: %s", p.Name, p.Reason)
+			cli.Logf("  pruned   %s: %s", p.Name, p.Reason)
 		}
 		for _, r := range plan.Rejected {
-			logf("  rejected %s: %s", r.Name, r.Reason)
+			cli.Logf("  rejected %s: %s", r.Name, r.Reason)
 		}
 	}
 
 	recs, err := evaluate(plan, cache, *workers)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	outcome, err := dse.Collect(plan, recs)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 
 	if *outDir != "" {
 		written, err := dse.WriteFiles(*outDir, outcome)
 		if err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		for _, w := range written {
-			logf("wrote %s", w)
+			cli.Logf("wrote %s", w)
 		}
 	}
 
 	if *asJSON {
 		if err := dse.WriteReportJSON(os.Stdout, outcome); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 	} else {
 		printFrontier(outcome)
@@ -201,7 +164,7 @@ func main() {
 	exit := 0
 	for _, r := range outcome.Records {
 		if r.Deadlocked {
-			fmt.Fprintf(os.Stderr, "chipletdse: DEADLOCK on verified candidate %s\n%s\n", r.Name, r.Diag)
+			cli.Logf("DEADLOCK on verified candidate %s\n%s", r.Name, r.Diag)
 			exit = 2
 		}
 	}
@@ -266,76 +229,4 @@ func printFrontier(o *dse.Outcome) {
 		}
 	}
 	fmt.Printf("\n%d dominated candidates (full ranking in candidates.csv with -out)\n", dominated)
-}
-
-func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chipletdse: "+format+"\n", args...)
-}
-
-// splitList splits a comma-separated flag, returning nil (the default
-// axis) for an empty value.
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// parseNoCs parses "4x4,8x8" into NoC dimension pairs.
-func parseNoCs(s string) ([][2]int, error) {
-	var out [][2]int
-	for _, part := range splitList(s) {
-		wh := strings.Split(strings.ToLower(part), "x")
-		if len(wh) != 2 {
-			return nil, fmt.Errorf("want WxH, got %q", part)
-		}
-		w, err := strconv.Atoi(wh[0])
-		if err != nil {
-			return nil, err
-		}
-		h, err := strconv.Atoi(wh[1])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, [2]int{w, h})
-	}
-	return out, nil
-}
-
-// parseInts parses a comma-separated int list; empty means nil (default).
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated float list; empty means nil
-// (default).
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chipletdse: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -1,50 +1,81 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
-func TestParseNoCs(t *testing.T) {
-	got, err := parseNoCs("4x4, 8X6")
-	if err != nil {
-		t.Fatal(err)
+// TestMain doubles the test binary as chipletdse itself: with
+// CHIPLETDSE_CHILD set the process runs main() on the provided argv, so
+// exit codes and output are asserted on a real process.
+func TestMain(m *testing.M) {
+	if os.Getenv("CHIPLETDSE_CHILD") == "1" {
+		os.Args = append([]string{"chipletdse"}, strings.Fields(os.Getenv("CHIPLETDSE_ARGS"))...)
+		main()
+		os.Exit(0)
 	}
-	if want := [][2]int{{4, 4}, {8, 6}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("parseNoCs = %v, want %v", got, want)
+	os.Exit(m.Run())
+}
+
+// run executes chipletdse with args and returns its stdout, stderr and
+// exit code.
+func run(t *testing.T, args string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CHIPLETDSE_CHILD=1", "CHIPLETDSE_ARGS="+args)
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &ee):
+		code = ee.ExitCode()
+	default:
+		t.Fatalf("chipletdse %s: %v", args, err)
 	}
-	for _, bad := range []string{"4", "4x", "axb", "4x4x4"} {
-		if _, err := parseNoCs(bad); err == nil {
-			t.Errorf("parseNoCs(%q) accepted", bad)
-		}
+	return out.String(), errb.String(), code
+}
+
+// TestTinyExploration: a four-chiplet space explores to a JSON report
+// with a non-empty frontier and exits 0.
+func TestTinyExploration(t *testing.T) {
+	out, stderr, code := run(t, "-chiplets 4 -topologies mesh,hypercube -routing mfr -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -workers 1 -json")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+	var rep struct{ Frontier []struct{ Name string } }
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("-json output is not a report: %v\n%s", err, out)
+	}
+	if len(rep.Frontier) == 0 {
+		t.Errorf("empty frontier:\n%s", out)
 	}
 }
 
-func TestSplitList(t *testing.T) {
-	if got := splitList(" a, b ,,c "); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("splitList = %v", got)
-	}
-	if got := splitList("  "); got != nil {
-		t.Errorf("splitList on blank = %v, want nil (default axis)", got)
-	}
-}
-
-func TestParseIntsFloats(t *testing.T) {
-	ints, err := parseInts("2,4")
-	if err != nil || !reflect.DeepEqual(ints, []int{2, 4}) {
-		t.Errorf("parseInts = %v, %v", ints, err)
-	}
-	if _, err := parseInts("2,x"); err == nil {
-		t.Error("parseInts accepted a non-integer")
-	}
-	floats, err := parseFloats("0.05,0.8")
-	if err != nil || !reflect.DeepEqual(floats, []float64{0.05, 0.8}) {
-		t.Errorf("parseFloats = %v, %v", floats, err)
-	}
-	if _, err := parseFloats("0.05,?"); err == nil {
-		t.Error("parseFloats accepted a non-float")
-	}
-	if out, err := parseFloats(""); err != nil || out != nil {
-		t.Errorf("parseFloats(\"\") = %v, %v; want nil (default ladder)", out, err)
+// TestRejectsBadInput: malformed values and inconsistent flags exit 1
+// with a diagnostic before anything is explored.
+func TestRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-noc 4", "bad -noc"},
+		{"-rates 0.1,x", "bad -rates"},
+		{"-engine warp", "bad engine"},
+		{"-merge a.jsonl", "-merge needs -cache"},
+		{"extra", "unexpected arguments"},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			_, stderr, code := run(t, tc.args)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, "chipletdse: ") || !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr lacks %q:\n%s", tc.want, stderr)
+			}
+		})
 	}
 }

@@ -21,106 +21,43 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"chipletnet"
+	"chipletnet/cmd/internal/cli"
 	"chipletnet/internal/verify"
 )
 
 func main() {
 	cfg := chipletnet.DefaultConfig()
-
-	topoKind := flag.String("topology", "hypercube", "mesh | ndmesh | ndtorus | hypercube | dragonfly | tree | custom")
-	dims := flag.String("dims", "6", "topology dimensions, comma separated (custom: n,a0,b0,a1,b1,... edge list)")
-	noc := flag.String("noc", "4x4", "on-chiplet NoC size WxH")
-	routing := flag.String("routing", string(cfg.Routing), "duato | safe-unsafe | compiled (duato on certified tables)")
-	vcs := flag.Int("vcs", cfg.VCs, "virtual channels per port")
-	equalChannels := flag.Bool("equal-channels", false, "disable the Theorem-1 d+/d- VC separation (known deadlock-prone)")
-	allowUnsafe := flag.Bool("allow-unsafe", false, "build configurations the factory would reject as unsafe")
-	faults := flag.Float64("faults", 0, "fraction of cross-chiplet channels to fail before verifying")
-	seed := flag.Uint64("seed", cfg.Seed, "random seed (fault selection)")
-	maxDests := flag.Int("max-dests", 0, "bound analyzed destinations (0 = exhaustive)")
-	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	configPath := flag.String("config", "", "load a JSON config file (flags still override)")
-	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	fromFile := false
-	if *configPath != "" {
-		fh, err := os.Open(*configPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		loaded, err := chipletnet.LoadConfig(fh)
-		fh.Close()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cfg = loaded
-		fromFile = true
-	}
-
-	use := func(name string) bool { return !fromFile || set[name] }
-	if use("topology") || use("dims") {
-		dimInts, err := parseInts(*dims)
-		if err != nil {
-			fatalf("bad -dims: %v", err)
-		}
-		cfg.Topology = chipletnet.Topology{Kind: *topoKind, Dims: dimInts}
-	}
-	if use("noc") {
-		var err error
-		if cfg.ChipletW, cfg.ChipletH, err = parseNoC(*noc); err != nil {
-			fatalf("bad -noc: %v", err)
-		}
-	}
-	if use("routing") {
-		if *routing == "compiled" {
-			cfg.Routing = chipletnet.RoutingDuato
-			cfg.CompiledRouting = true
-		} else {
-			cfg.Routing = chipletnet.RoutingMode(*routing)
-		}
-	}
-	if use("vcs") {
-		cfg.VCs = *vcs
-	}
-	if use("equal-channels") {
-		cfg.DisableNDMeshVCSeparation = *equalChannels
-	}
-	if use("allow-unsafe") {
-		cfg.AllowUnsafeRouting = *allowUnsafe
-	}
-	if use("faults") {
-		cfg.CrossLinkFaultFraction = *faults
-	}
-	if use("seed") {
-		cfg.Seed = *seed
-	}
+	fs := cli.New("chipletverify")
+	fs.Topology(&cfg)
+	fs.Routing(&cfg)
+	fs.IntVar(&cfg.VCs, "vcs", cfg.VCs, "virtual channels per port")
+	fs.BoolVar(&cfg.DisableNDMeshVCSeparation, "equal-channels", cfg.DisableNDMeshVCSeparation, "disable the Theorem-1 d+/d- VC separation (known deadlock-prone)")
+	fs.BoolVar(&cfg.AllowUnsafeRouting, "allow-unsafe", cfg.AllowUnsafeRouting, "build configurations the factory would reject as unsafe")
+	fs.Float64Var(&cfg.CrossLinkFaultFraction, "faults", cfg.CrossLinkFaultFraction, "fraction of cross-chiplet channels to fail before verifying")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed (fault selection)")
+	maxDests := fs.Int("max-dests", 0, "bound analyzed destinations (0 = exhaustive)")
+	asJSON := fs.Bool("json", false, "emit the report as JSON")
+	fs.ConfigFile(&cfg)
+	fs.MustParse()
 
 	rep, err := chipletnet.VerifyConfig(cfg, verify.Options{MaxDests: *maxDests})
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	cert := rep.Certificate()
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		out := struct {
 			Report          *verify.Report
 			Certificate     *verify.Certificate
 			CertificateHash string
 		}{rep, cert, cert.Hash()}
-		if err := enc.Encode(out); err != nil {
-			fatalf("%v", err)
+		if err := cli.WriteJSON(out); err != nil {
+			cli.Fatalf("%v", err)
 		}
 	} else {
 		fmt.Print(rep)
@@ -132,35 +69,4 @@ func main() {
 	case rep.Err() != nil:
 		os.Exit(2)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseNoC(s string) (w, h int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("want WxH, got %q", s)
-	}
-	if w, err = strconv.Atoi(parts[0]); err != nil {
-		return 0, 0, err
-	}
-	if h, err = strconv.Atoi(parts[1]); err != nil {
-		return 0, 0, err
-	}
-	return w, h, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chipletverify: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -9,40 +9,25 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"chipletnet"
+	"chipletnet/cmd/internal/cli"
 	"chipletnet/internal/topology"
 )
 
 func main() {
-	topoKind := flag.String("topology", "hypercube", "mesh | ndmesh | ndtorus | hypercube | dragonfly | tree")
-	dims := flag.String("dims", "6", "topology dimensions, comma separated")
-	noc := flag.String("noc", "4x4", "on-chiplet NoC size WxH")
-	chip := flag.Int("chiplet", 0, "chiplet index to detail")
-	simRate := flag.Float64("sim", 0, "if > 0, run uniform traffic at this rate and show link utilization")
-	flag.Parse()
-
 	cfg := chipletnet.DefaultConfig()
-	dimInts, err := parseInts(*dims, ",")
-	if err != nil {
-		fatalf("bad -dims: %v", err)
-	}
-	cfg.Topology = chipletnet.Topology{Kind: *topoKind, Dims: dimInts}
-	wh, err := parseInts(strings.ToLower(*noc), "x")
-	if err != nil || len(wh) != 2 {
-		fatalf("bad -noc: want WxH, got %q", *noc)
-	}
-	cfg.ChipletW, cfg.ChipletH = wh[0], wh[1]
+	fs := cli.New("topoviz")
+	fs.Topology(&cfg)
+	chip := fs.Int("chiplet", 0, "chiplet index to detail")
+	simRate := fs.Float64("sim", 0, "if > 0, run uniform traffic at this rate and show link utilization")
+	fs.MustParse()
 
 	sys, err := chipletnet.Build(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	s := sys.Topo
 
@@ -64,7 +49,7 @@ func main() {
 		nd, connected, s.ChipletDiameter())
 
 	if *chip < 0 || *chip >= s.NumChiplets() {
-		fatalf("chiplet %d out of range", *chip)
+		cli.Fatalf("chiplet %d out of range", *chip)
 	}
 	c := &s.Chiplets[*chip]
 	fmt.Printf("\nchiplet %d coordinate: %v\n", *chip, c.Coord)
@@ -107,11 +92,11 @@ func main() {
 		cfg2.MeasureCycles = 2000
 		sys2, err := chipletnet.Build(cfg2)
 		if err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		res, err := sys2.Simulate()
 		if err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		fmt.Printf("\nuniform traffic @ %.2f flits/node/cycle: latency %.1f, accepted %.3f\n",
 			*simRate, res.AvgLatency, res.AcceptedFlitsPerNodeCycle)
@@ -148,21 +133,4 @@ func main() {
 			fmt.Printf("  chiplet %3d -> %3d: %5.1f%%\n", r.p.a, r.p.b, 100*r.u)
 		}
 	}
-}
-
-func parseInts(s, sep string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, sep) {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "topoviz: "+format+"\n", args...)
-	os.Exit(1)
 }

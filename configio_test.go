@@ -2,8 +2,12 @@ package chipletnet
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"chipletnet/internal/stats"
 )
 
 func TestConfigJSONRoundTrip(t *testing.T) {
@@ -72,5 +76,28 @@ func TestSingleChipletSystem(t *testing.T) {
 	}
 	if res.AvgOffChipHops != 0 {
 		t.Errorf("single chiplet reported %f off-chip hops", res.AvgOffChipHops)
+	}
+}
+
+// TestResultJSONZeroesNonFinite: NaN and infinite floats encode as 0 at
+// any depth, and encoding leaves the caller's Result untouched.
+func TestResultJSONZeroesNonFinite(t *testing.T) {
+	var r Result
+	r.AvgLatency = math.NaN()
+	r.P99Latency = math.Inf(1)
+	r.Classes = []stats.ClassSummary{{AvgLatency: math.NaN()}}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Result
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.AvgLatency != 0 || got.P99Latency != 0 || got.Classes[0].AvgLatency != 0 {
+		t.Errorf("decoded latencies %v %v %v, want 0", got.AvgLatency, got.P99Latency, got.Classes[0].AvgLatency)
+	}
+	if !math.IsNaN(r.AvgLatency) || !math.IsNaN(r.Classes[0].AvgLatency) {
+		t.Error("MarshalJSON wrote through to the caller's Result")
 	}
 }

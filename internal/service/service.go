@@ -36,10 +36,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -676,7 +674,7 @@ func (s *Server) executeSimulate(ctx context.Context, job *Job) (json.RawMessage
 	}
 	os.Remove(ckpt) // the snapshot is superseded by the result
 	s.setProgress(job, 1, 1)
-	return marshalResult(&res)
+	return json.Marshal(res)
 }
 
 // executeSweep runs the rate ladder in one parallel batch; a drain
@@ -710,7 +708,7 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (json.RawMessage, e
 		return nil, err
 	}
 	s.setProgress(job, len(rates), len(rates))
-	return marshalResult(&SweepResult{Rates: rates, Results: results})
+	return json.Marshal(SweepResult{Rates: rates, Results: results})
 }
 
 // executeDSE plans and evaluates an exploration. Every finished
@@ -842,42 +840,6 @@ func (s *Server) countCacheHits(n int) {
 	s.mu.Lock()
 	s.cacheHits += n
 	s.mu.Unlock()
-}
-
-// marshalResult renders a simulation result as JSON with non-finite
-// floats zeroed: an empty measurement window legitimately yields NaN
-// latencies (see internal/dse's identical probe fallback), and
-// encoding/json refuses NaN/Inf outright.
-func marshalResult(v any) (json.RawMessage, error) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Pointer {
-		jsonSafe(rv.Elem())
-	}
-	return json.Marshal(v)
-}
-
-// jsonSafe zeroes NaN/Inf floats in place, recursively.
-func jsonSafe(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
-			v.SetFloat(0)
-		}
-	case reflect.Pointer:
-		if !v.IsNil() {
-			jsonSafe(v.Elem())
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.CanSet() {
-				jsonSafe(f)
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			jsonSafe(v.Index(i))
-		}
-	}
 }
 
 // drainContext derives a context canceled either with its parent or when
