@@ -12,11 +12,12 @@ vet:
 	$(GO) vet ./...
 
 # test-fault runs the fault-injection and link-reliability matrix under the
-# race detector: the reliability protocol unit tests, the killed-link
-# per-topology table, the hypercube acceptance scenario, and the seed corpus
-# of the fault-schedule fuzz target.
+# race detector: the reliability protocol unit tests, the fault-schedule
+# validation table, the killed-link per-topology table, the hypercube
+# acceptance scenario, and the seed corpus of the fault-schedule fuzz
+# target.
 test-fault:
-	$(GO) test -race -run 'Rel|Fault|Credit' ./internal/router ./internal/fault .
+	$(GO) test -race -run 'Rel|Fault|Credit|Schedule' ./internal/router ./internal/fault .
 	$(GO) test -race -run FuzzFaultSchedule .
 
 lint:
@@ -26,9 +27,10 @@ lint:
 # matrix under the race detector: bit-identical resume across topologies
 # and fault schedules, typed rejection of damaged snapshot files, the
 # cross-GOMAXPROCS determinism golden test, the checkpoint fuzz seed
-# corpus, the campaign journal, and the campaign supervisor.
+# corpus, the campaign journal, the campaign supervisor, and the run
+# pool's positional results (kept when one configuration fails).
 test-checkpoint:
-	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|Sweep' .
+	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|RunManyKeeps|RunManyOrders' .
 	$(GO) test -race -run FuzzCheckpointRoundTrip .
 	$(GO) test -race -run 'Journal|Campaign' ./internal/experiments ./cmd/chipletfig
 
@@ -49,8 +51,8 @@ test-checkpoint:
 # CompiledRefusesUncertified tests match the EngineEquivalence pattern by
 # substring.
 test-equiv:
-	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ResetBitIdentical|ActiveSetMatchesReference|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism' . ./internal/router
-	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|ResetRestores|AuditCredits' ./internal/router
+	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ActiveSetMatchesReference|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism' . ./internal/router
+	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|AuditCredits' ./internal/router
 
 # fuzz runs 30-second coverage-guided searches of the engine-equivalence
 # and island-partition fuzz targets. It is not part of check: a random
@@ -81,7 +83,7 @@ test-dse:
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.
 test-daemon:
 	$(GO) test -race ./internal/service/... ./internal/jsonl ./cmd/chipletd
-	$(GO) test -race -run 'RunManyCtx|RunEachCtx' .
+	$(GO) test -race -run 'RunMany' .
 	$(GO) test -race -run 'Shard|Merge|Quarantine' ./internal/dse
 
 # test-coordinator runs the multi-host fleet matrix under the race
@@ -97,15 +99,15 @@ test-coordinator:
 	$(GO) test -race -timeout 20m -run 'Coordinator|SigtermRequeues' ./cmd/chipletd
 
 # test-workload runs the trace/replay/QoS matrix under the race detector:
-# the trace format round-trip and typed-error table, the external-trace
-# importer, the live-run recorder, the causal replayer and AI-scale-out
-# generator (snapshot round-trips included), the per-class QoS statistics
-# and tiny-sample percentile tables, and the root-level acceptance gates —
+# the trace format round-trip and typed-error table, the live-run
+# recorder, the causal replayer and AI-scale-out generator (snapshot
+# round-trips included), the per-class QoS statistics and tiny-sample
+# percentile tables, and the root-level acceptance gates —
 # a recorded hypercube trace replaying bit-identically under all three
 # cycle engines and across mid-replay cross-engine checkpoint/resume.
 # Finishes by replaying the trace-round-trip fuzz seed corpus.
 test-workload:
-	$(GO) test -race -run 'Trace|Import|Record|Replay|AIScaleOut|Percentile|ClassS|Workload|ParseFlag|SpecHash|Split' ./internal/workload ./internal/traffic ./internal/stats .
+	$(GO) test -race -run 'Trace|Record|Replay|AIScaleOut|Percentile|ClassS|Workload|ParseFlag|SpecHash|Split' ./internal/workload ./internal/traffic ./internal/stats .
 	$(GO) test -race -run FuzzTraceRoundTrip ./internal/traffic
 
 # bench runs the one benchmark (bench/README.md): seven workloads timed

@@ -106,39 +106,51 @@ func (s *System) buildSource() (traffic.Source, error) {
 	return nil, fmt.Errorf("chipletnet: unknown workload kind %q", kind)
 }
 
-// SimulateControlled is Simulate with external run control. A System must
-// not be simulated twice; rebuild for fresh runs.
-func (s *System) SimulateControlled(ctrl RunControl) (Result, error) {
+// prepare is the set-up every run starts from: it builds the injection
+// source and the statistics collector, points the fabric's sink and
+// credit audit at them, and attaches the fault engine when the
+// configuration injects faults. ResumeRun then lays the snapshot over
+// this state; the fault engine must be attached first, because it
+// re-attaches the reliability protocol (with its corruption-stream
+// closures) to the links that the fabric restore fills.
+func (s *System) prepare() (traffic.Source, *stats.Collector, *fault.Engine, error) {
 	cfg := s.Cfg
 	src, err := s.buildSource()
 	if err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
-
 	col := &stats.Collector{MeasureFrom: cfg.WarmupCycles + 1}
 	f := s.Topo.Fabric
 	f.Sink = col.OnDeliver
 	f.CreditAudit = cfg.CheckCredits
+	var eng *fault.Engine
+	if cfg.Fault.Enabled() {
+		if eng, err = fault.New(s.Topo, cfg.Fault.engineConfig(cfg.Seed)); err != nil {
+			return nil, nil, nil, err
+		}
+		eng.Attach(f)
+	}
+	return src, col, eng, nil
+}
 
+// SimulateControlled is Simulate with external run control. A System must
+// not be simulated twice; rebuild for fresh runs.
+func (s *System) SimulateControlled(ctrl RunControl) (Result, error) {
 	var rec *workload.Recorder
 	if ctrl.TracePath != "" {
+		f := s.Topo.Fabric
 		if f.Tracer != nil {
 			return Result{}, fmt.Errorf("chipletnet: cannot record a workload trace: another tracer is attached")
 		}
-		rec, err = workload.NewRecorder(s.Topo.Cores)
-		if err != nil {
+		var err error
+		if rec, err = workload.NewRecorder(s.Topo.Cores); err != nil {
 			return Result{}, err
 		}
 		f.Tracer = rec
 	}
-
-	var eng *fault.Engine
-	if cfg.Fault.Enabled() {
-		eng, err = fault.New(s.Topo, cfg.Fault.engineConfig(cfg.Seed))
-		if err != nil {
-			return Result{}, err
-		}
-		eng.Attach(f)
+	src, col, eng, err := s.prepare()
+	if err != nil {
+		return Result{}, err
 	}
 	res, err := s.run(src, col, eng, ctrl, 0)
 	if rec != nil && err == nil {
@@ -173,27 +185,12 @@ func ResumeRun(path string, ctrl RunControl) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: rebuilding from embedded configuration: %v", checkpoint.ErrMismatch, err)
 	}
-
-	src, err := sys.buildSource()
+	src, col, eng, err := sys.prepare()
+	if errors.Is(err, fault.ErrBadSchedule) {
+		return Result{}, fmt.Errorf("%w: recreating fault engine: %v", checkpoint.ErrMismatch, err)
+	}
 	if err != nil {
 		return Result{}, err
-	}
-
-	col := &stats.Collector{MeasureFrom: cfg.WarmupCycles + 1}
-	f := sys.Topo.Fabric
-	f.Sink = col.OnDeliver
-	f.CreditAudit = cfg.CheckCredits
-
-	// Recreate the fault engine first: it re-attaches the reliability
-	// protocol (with its corruption-stream closures) to the same links,
-	// which the fabric restore then fills with snapshot state.
-	var eng *fault.Engine
-	if cfg.Fault.Enabled() {
-		eng, err = fault.New(sys.Topo, cfg.Fault.engineConfig(cfg.Seed))
-		if err != nil {
-			return Result{}, fmt.Errorf("%w: recreating fault engine: %v", checkpoint.ErrMismatch, err)
-		}
-		eng.Attach(f)
 	}
 	if (st.Fault != nil) != (eng != nil) {
 		return Result{}, fmt.Errorf("%w: snapshot fault state %v, configuration fault injection %v",
@@ -204,7 +201,7 @@ func ResumeRun(path string, ctrl RunControl) (Result, error) {
 		return Result{}, err
 	}
 	pkts := checkpoint.Materialize(st.Packets)
-	if err := f.Restore(&st.Fabric, pkts); err != nil {
+	if err := sys.Topo.Fabric.Restore(&st.Fabric, pkts); err != nil {
 		return Result{}, err
 	}
 	if err := src.Restore(&st.Gen); err != nil {

@@ -274,31 +274,6 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestSweepPartialResults: a failing rate must not discard the completed
-// rates — Sweep returns the partial results alongside a joined error that
-// names the failed rate.
-func TestSweepPartialResults(t *testing.T) {
-	cfg := ckptTestConfig(HypercubeTopology(3))
-	cfg.DrainCycles = 0
-	cfg.MeasureCycles = 200
-	rates := []float64{0.05, -1, 0.1}
-	results, err := Sweep(cfg, rates)
-	if err == nil {
-		t.Fatal("sweep with a negative rate did not error")
-	}
-	if len(results) != len(rates) {
-		t.Fatalf("got %d results, want %d", len(results), len(rates))
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Endpoints == 0 || results[i].DeliveredPackets == 0 {
-			t.Errorf("rate %g: completed result was discarded: %+v", rates[i], results[i].Summary)
-		}
-	}
-	if results[1].Endpoints != 0 {
-		t.Errorf("failed rate produced a non-zero result: %+v", results[1].Summary)
-	}
-}
-
 // TestRunControlDeadline: a closed Deadline aborts the run with ErrTimeout
 // and a diagnostic snapshot of the in-flight traffic.
 func TestRunControlDeadline(t *testing.T) {

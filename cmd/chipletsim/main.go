@@ -176,7 +176,7 @@ func main() {
 	}
 
 	fmt.Printf("system:        %v of %dx%d chiplets (%d endpoints)\n",
-		cfg.Topology, cfg.ChipletW, cfg.ChipletH, res.Endpoints)
+		res.Cfg.Topology, res.Cfg.ChipletW, res.Cfg.ChipletH, res.Endpoints)
 	if res.Cfg.Workload != "" {
 		fmt.Printf("workload:      %s, interleave=%s, routing=%s\n",
 			res.Cfg.Workload, res.Cfg.Interleave, res.Cfg.Routing)

@@ -102,6 +102,34 @@ func TestResumeMissingFileExits1(t *testing.T) {
 	}
 }
 
+// runChild runs chipletsim on args in a child process and returns its
+// stdout, failing the test on a non-zero exit.
+func runChild(t *testing.T, args string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CHIPLETSIM_CHILD=1", "CHIPLETSIM_ARGS="+args)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("chipletsim %s: %v; stderr:\n%s", args, err, stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestResumeReportsEmbeddedSystem: -resume without topology flags must
+// describe the checkpointed run's system, not the flag defaults.
+func TestResumeReportsEmbeddedSystem(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	fresh := runChild(t, "-topology hypercube -dims 3 -noc 3x3 -warmup 100 -measure 400 -rate 0.1 -checkpoint "+ckpt+" -checkpoint-every 200")
+	resumed := runChild(t, "-resume "+ckpt)
+	const want = "system:        hypercube 2^3 of 3x3 chiplets"
+	for name, out := range map[string]string{"fresh": fresh, "resumed": resumed} {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s run report lacks %q:\n%s", name, want, out)
+		}
+	}
+}
+
 // TestJSONEmptyWindow: a measurement window too short to deliver any
 // packet leaves the latencies NaN; -json still exits 0 with valid JSON,
 // writing them as 0.

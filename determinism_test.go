@@ -1,8 +1,10 @@
 package chipletnet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,8 +12,8 @@ import (
 
 // TestDeterminismAcrossGOMAXPROCS is the cross-scheduler golden test: the
 // JSON-serialized Results of a topology-and-fault matrix, swept in
-// parallel through Sweep, must hash identically under GOMAXPROCS=1 and
-// GOMAXPROCS=N. Sweep is the only concurrency in the stack, so any
+// parallel through RunMany, must hash identically under GOMAXPROCS=1 and
+// GOMAXPROCS=N. RunMany is the only concurrency in the stack, so any
 // divergence means shared mutable state leaked between simulations.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	var configs []Config
@@ -41,8 +43,8 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	digest := func() string {
 		h := sha256.New()
 		for i, cfg := range configs {
-			results, err := Sweep(cfg, rates)
-			if err != nil {
+			results, errs := RunMany(context.Background(), rateLadder(cfg, rates))
+			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("config %d (%+v): %v", i, cfg.Topology, err)
 			}
 			b, err := json.Marshal(results)
@@ -72,7 +74,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 
 // TestIslandsDeterminismAcrossGOMAXPROCS is the same golden test for
 // the parallel-islands engine, which adds intra-run concurrency on top
-// of Sweep's campaign-level concurrency: the per-cycle worker schedule
+// of RunMany's campaign-level concurrency: the per-cycle worker schedule
 // must be unobservable, so the digest must be identical whether the K=4
 // islands time-slice one processor (GOMAXPROCS=1) or run truly in
 // parallel (GOMAXPROCS>=4) — and identical to the serial engines'
@@ -101,8 +103,8 @@ func TestIslandsDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	digest := func() string {
 		h := sha256.New()
 		for i, cfg := range configs {
-			results, err := Sweep(cfg, rates)
-			if err != nil {
+			results, errs := RunMany(context.Background(), rateLadder(cfg, rates))
+			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("config %d (%+v): %v", i, cfg.Topology, err)
 			}
 			b, err := json.Marshal(results)

@@ -247,57 +247,6 @@ func TestEngineCheckpointInterchangeable(t *testing.T) {
 	}
 }
 
-// TestResetBitIdentical is the warm-reuse gate for SaturationRate: a
-// Simulate on a Reset system must be bit-identical to a Simulate on a
-// fresh Build — including at a different injection rate, the way the
-// bisection uses it. The islands engine reclassifies its partition
-// lazily after Reset, so it runs the same gate.
-func TestResetBitIdentical(t *testing.T) {
-	for _, eng := range []engineSetup{
-		{"active", EngineActive, 0},
-		{"islands-k2", EngineIslands, 2},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			withEngine(eng, func() {
-				cfg := equivConfig(DragonflyTopology(4))
-				cfg.Fault.BER = 5e-4 // BER is rate-only, legal to reuse across Reset
-
-				sys, err := Build(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				warmFirst, err := sys.Simulate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Reset()
-				cfg2 := cfg
-				cfg2.InjectionRate = 0.35
-				sys.Cfg = cfg2
-				warmSecond, err := sys.Simulate()
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				freshFirst, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshSecond, err := Run(cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := resultJSON(t, warmFirst), resultJSON(t, freshFirst); got != want {
-					t.Errorf("first warm run differs from fresh build\n got: %s\nwant: %s", got, want)
-				}
-				if got, want := resultJSON(t, warmSecond), resultJSON(t, freshSecond); got != want {
-					t.Errorf("post-Reset run differs from fresh build\n got: %s\nwant: %s", got, want)
-				}
-			})
-		})
-	}
-}
-
 // FuzzEngineEquivalence extends the differential gate across the random
 // configuration space: for any buildable configuration, all three
 // engines must agree bit-for-bit — Result and error alike. The islands

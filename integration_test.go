@@ -224,29 +224,6 @@ func TestAllPatternsRun(t *testing.T) {
 	}
 }
 
-// TestSweepOrdersResults checks the parallel sweep machinery.
-func TestSweepOrdersResults(t *testing.T) {
-	cfg := fastCfg(HypercubeTopology(2))
-	rates := []float64{0.05, 0.2, 0.6}
-	results, err := Sweep(cfg, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r.OfferedRate != rates[i] {
-			t.Errorf("result %d has rate %g, want %g", i, r.OfferedRate, rates[i])
-		}
-	}
-	// Latency must not decrease with load.
-	if results[2].AvgLatency < results[0].AvgLatency {
-		t.Errorf("latency fell with load: %.1f @%.2f vs %.1f @%.2f",
-			results[0].AvgLatency, rates[0], results[2].AvgLatency, rates[2])
-	}
-}
-
 // TestThroughputTracksOffered: at a clearly stable operating point on a
 // 64-core system with a long window, accepted throughput must track the
 // offered load within 10%.
@@ -260,28 +237,6 @@ func TestThroughputTracksOffered(t *testing.T) {
 	}
 	if res.AcceptedFlitsPerNodeCycle < 0.9*cfg.InjectionRate {
 		t.Errorf("accepted %.3f of offered %.3f", res.AcceptedFlitsPerNodeCycle, cfg.InjectionRate)
-	}
-}
-
-// TestSaturationRateSearch sanity-checks the binary search.
-func TestSaturationRateSearch(t *testing.T) {
-	cfg := fastCfg(HypercubeTopology(4))
-	cfg.MeasureCycles = 2500
-	sat, err := SaturationRate(cfg, 0.1, 2.0, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat < 0.1 {
-		t.Errorf("saturation rate %.2f implausibly low", sat)
-	}
-	// The found rate must indeed be stable.
-	cfg.InjectionRate = sat
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Saturated() {
-		t.Errorf("reported saturation rate %.2f is itself saturated", sat)
 	}
 }
 

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -193,8 +194,13 @@ func (e Eval) RunCtx(ctx context.Context) (Record, error) {
 		c.InjectionRate = r
 		cfgs = append(cfgs, c)
 	}
-	results, err := chipletnet.RunManyCtx(ctx, cfgs)
-	if err != nil {
+	results, errs := chipletnet.RunMany(ctx, cfgs)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("rate %g: %w", cfgs[i].InjectionRate, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
 		return Record{}, fmt.Errorf("dse: evaluating %s: %w", e.Candidate.Name, err)
 	}
 	// A very light probe on a tiny network can deliver nothing inside the

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -136,7 +137,7 @@ type job struct {
 
 // runJobs verifies and simulates a batch of jobs and converts the
 // results to points in job order. All jobs of a batch run concurrently
-// through chipletnet.RunEach — the parallelism lives at the module root
+// through chipletnet.RunMany — the parallelism lives at the module root
 // (internal packages spawn no goroutines; see cmd/chipletlint), and the
 // output ordering is positional, so it is schedule-independent. Figures
 // hand their complete series × rate cross product here, which keeps
@@ -153,7 +154,7 @@ func runJobs(jobs []job) ([]Point, error) {
 			return nil, fmt.Errorf("%s/%s at %s=%g: %w", j.exp, j.series, j.xname, j.x, err)
 		}
 	}
-	results, errs := chipletnet.RunEach(cfgs)
+	results, errs := chipletnet.RunMany(context.TODO(), cfgs)
 	pts := make([]Point, len(jobs))
 	for i, j := range jobs {
 		if errs[i] != nil {
@@ -513,7 +514,7 @@ func WorkloadStudy(s Scale) ([]Point, error) {
 			return nil, fmt.Errorf("ext-workload-qos/%s at mem-rate=%g: %w", labels[i], memRates[i%len(memRates)], err)
 		}
 	}
-	results, errs := chipletnet.RunEach(cfgs)
+	results, errs := chipletnet.RunMany(context.TODO(), cfgs)
 	var pts []Point
 	for i, res := range results {
 		if errs[i] != nil {

@@ -45,16 +45,6 @@ func ClassName(c uint8) string {
 	return "?"
 }
 
-// ClassByName returns the class value for a canonical class name.
-func ClassByName(name string) (uint8, bool) {
-	for c := uint8(0); c < NumClasses; c++ {
-		if ClassName(c) == name {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // NoDep marks a packet (or trace entry) with no dependency.
 const NoDep int64 = -1
 

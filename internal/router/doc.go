@@ -76,7 +76,7 @@
 // schedule is unobservable.
 //
 // The active sets are derived state: Snapshot does not record them and
-// Restore/Reset rebuild them (rebuildActive), so checkpoint files are
+// Restore rebuilds them (rebuildActive), so checkpoint files are
 // byte-identical regardless of the engine that produced or consumes
 // them. The island partition, classification, and mailboxes are derived
 // the same way — a checkpoint taken under one engine resumes under any

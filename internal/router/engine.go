@@ -154,72 +154,3 @@ func (f *Fabric) rebuildActive() {
 		}
 	}
 }
-
-// Reset returns the fabric to its freshly built state, keeping the
-// structural configuration (routers, ports, links, routing algorithm,
-// thresholds) and all buffer capacity, so a topology built once can run
-// many simulations without re-allocating — e.g. the bisection probes of
-// a saturation search.
-//
-// Reset restores only dynamic state. It does NOT undo structural
-// mutations made by fault events: degraded link bandwidth/latency and
-// condemned or decommissioned interface-group membership persist.
-// Callers reusing a fabric across runs must therefore not schedule Kill
-// or Degrade events (per-flit BER is fine — the reliability protocol is
-// re-attached fresh each run). Reset detaches any LinkRel; Sink is
-// cleared and must be re-set by the runner.
-func (f *Fabric) Reset() {
-	for _, r := range f.Routers {
-		r.vaOffset = r.Node
-		r.waiting = 0
-		r.grants = 0
-		for _, ip := range r.In {
-			for _, vc := range ip.VCs {
-				vc.q.Reset()
-				vc.flits = 0
-				vc.state = vcIdle
-				vc.readyAt = 0
-				vc.grantedAt = 0
-				vc.outPort = nil
-				vc.outVC = 0
-			}
-		}
-		for _, o := range r.Out {
-			for i := range o.Owner {
-				o.Owner[i] = nil
-			}
-			for i := range o.granted {
-				o.granted[i] = nil
-			}
-			o.granted = o.granted[:0]
-			switch {
-			case o.Link != nil:
-				for i, vc := range o.Link.Dst.In[o.Link.DstPort].VCs {
-					o.Credits[i] = vc.Cap
-				}
-			default:
-				for i := range o.Credits {
-					o.Credits[i] = ejectCredits
-				}
-			}
-		}
-	}
-	for _, l := range f.Links {
-		l.flits.Reset()
-		l.credits.Reset()
-		l.acks.Reset()
-		l.Carried = 0
-		l.Rel = nil
-	}
-	clear(f.routerActive)
-	clear(f.linkActive)
-	if f.isl != nil {
-		f.isl.reset()
-	}
-	f.Sink = nil
-	f.Now = 0
-	f.inFlight = 0
-	f.lastProgress = 0
-	f.Deadlocked = false
-	f.Deadlock = nil
-}

@@ -221,53 +221,6 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestResetRestoresFreshState: a reset fabric must be indistinguishable
-// from a freshly built one — same delivery trace on the same workload,
-// buffers empty, credits full, engine scheduling cleared.
-func TestResetRestoresFreshState(t *testing.T) {
-	run := func(f *Fabric) []delivery {
-		var trace []delivery
-		f.Sink = func(p *packet.Packet, now int64) { trace = append(trace, delivery{p.ID, now}) }
-		for i := 0; i < 10; i++ {
-			f.Routers[0].Inject(mkPacket(uint64(i), 0, 5, 32, 0), 0)
-		}
-		runCycles(f, 1500)
-		return trace
-	}
-	f := buildLine(6, 2, 32, 2, 3)
-	first := run(f)
-	if f.InFlight() != 0 {
-		t.Fatal("workload did not drain")
-	}
-	f.Reset()
-	if f.Now != 0 || f.InFlight() != 0 || f.BufferedFlits() != 0 {
-		t.Fatalf("Reset left Now=%d inFlight=%d buffered=%d", f.Now, f.InFlight(), f.BufferedFlits())
-	}
-	for _, r := range f.Routers {
-		if r.waiting != 0 || r.grants != 0 {
-			t.Errorf("router %d: waiting=%d grants=%d after Reset", r.Node, r.waiting, r.grants)
-		}
-		for _, o := range r.Out {
-			if o.Link == nil {
-				continue
-			}
-			for vc, c := range o.Credits {
-				if want := o.Link.Dst.In[o.Link.DstPort].VCs[vc].Cap; c != want {
-					t.Errorf("router %d out %d vc %d: credits %d, want %d", r.Node, o.Index, vc, c, want)
-				}
-			}
-		}
-	}
-	second := run(f)
-	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Errorf("reset fabric diverged:\n first %v\nsecond %v", first, second)
-	}
-	fresh := run(buildLine(6, 2, 32, 2, 3))
-	if fmt.Sprint(first) != fmt.Sprint(fresh) {
-		t.Errorf("reset fabric differs from fresh build:\nreset %v\nfresh %v", second, fresh)
-	}
-}
-
 // TestAuditCreditsDoesNotAllocateAfterWarmup pins the satellite fix: the
 // per-cycle credit audit reuses fabric-owned scratch buffers.
 func TestAuditCreditsDoesNotAllocateAfterWarmup(t *testing.T) {

@@ -18,18 +18,6 @@ func (f *fifo[T]) Front() *T { return &f.items[f.head] }
 // At returns a pointer to the i-th element from the front.
 func (f *fifo[T]) At(i int) *T { return &f.items[f.head+i] }
 
-// Reset empties the queue, releasing element references for GC but
-// keeping the backing array so a reused queue reaches steady state
-// without allocating.
-func (f *fifo[T]) Reset() {
-	var zero T
-	for i := f.head; i < len(f.items); i++ {
-		f.items[i] = zero
-	}
-	f.items = f.items[:0]
-	f.head = 0
-}
-
 func (f *fifo[T]) Pop() T {
 	v := f.items[f.head]
 	var zero T

@@ -80,7 +80,7 @@ import (
 // phase 3 handles Rel-owning routers and ejections in place.
 //
 // The island assignment, mailboxes and active sets are all derived
-// state: Snapshot does not record them, Restore/Reset rebuild them, and
+// state: Snapshot does not record them, Restore rebuilds them, and
 // checkpoint files stay byte-identical across all three engines.
 
 // ejection is one deferred packet delivery: the ejecting router's index
@@ -303,7 +303,7 @@ func (is *islandState) wakeLink(l *Link, from *Router) {
 // the routers whose phase 3 must run serially. Classification is lazy
 // because the reliability protocol (fault engine) attaches LinkRels
 // after Build; it reruns, through rebuildActive, at the first Step after
-// EnableIslands, Reset or Restore, so no link bit is ever pending in a
+// EnableIslands or Restore, so no link bit is ever pending in a
 // set of a stale classification.
 func (is *islandState) classify(f *Fabric) {
 	for _, l := range f.Links {
@@ -331,7 +331,7 @@ func (is *islandState) classify(f *Fabric) {
 }
 
 // reset zeroes every derived set and forces reclassification; the caller
-// (rebuildActive / Fabric.Reset) re-wakes live components afterwards.
+// (rebuildActive) re-wakes live components afterwards.
 func (is *islandState) reset() {
 	for w := 0; w < is.k; w++ {
 		clear(is.rActive[w])

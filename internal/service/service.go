@@ -28,7 +28,7 @@
 // goroutines, wall-clock deadlines and timers, and is therefore exempt
 // from the determinism lint that governs simulator packages (see
 // cmd/chipletlint's scope rules). All simulation still flows through the
-// module root's RunManyCtx/RunEachCtx executors.
+// module root's RunMany executor.
 package service
 
 import (
@@ -691,7 +691,7 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (json.RawMessage, e
 	}
 	dctx, stop := s.drainContext(ctx)
 	defer stop()
-	results, errs := chipletnet.RunEachCtx(dctx, cfgs)
+	results, errs := chipletnet.RunMany(dctx, cfgs)
 	var joined []error
 	for i, e := range errs {
 		if e != nil {
@@ -753,19 +753,7 @@ func (s *Server) executeDSE(ctx context.Context, job *Job) (json.RawMessage, err
 		recs = append(recs, rec)
 		s.setProgress(job, len(plan.Hits)+i+1, total)
 	}
-	outcome, err := dse.Collect(plan, recs)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(DSEResult{
-		Enumerated: len(plan.Candidates) + len(plan.Rejected) + len(plan.Pruned),
-		Pruned:     len(plan.Pruned),
-		Rejected:   len(plan.Rejected),
-		Candidates: len(outcome.Records),
-		Simulated:  outcome.Simulated,
-		CacheHits:  outcome.CacheHits,
-		Frontier:   outcome.Frontier,
-	})
+	return dseResult(plan, recs, len(plan.Pending))
 }
 
 // executeDSECoordinated fans plan.Pending out across the coordinator's
@@ -783,53 +771,53 @@ func (s *Server) executeDSECoordinated(ctx context.Context, job *Job, plan *dse.
 	// Worker-local cache hits are hits too: the fleet returned records it
 	// did not have to simulate.
 	s.countCacheHits(len(recs) - simulated)
-	if err != nil {
-		switch {
-		case errors.Is(err, coord.ErrDegraded):
-			partial, merr := s.degradedResult(plan, recs, simulated)
-			if merr != nil {
-				return nil, errors.Join(err, merr)
-			}
-			return partial, err
-		case dctx.Err() != nil && ctx.Err() == nil:
-			return nil, errDrained
-		case ctx.Err() != nil:
-			return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
+	all := append(append([]dse.Record(nil), plan.Hits...), recs...)
+	switch {
+	case err == nil:
+		return dseResult(plan, all, simulated)
+	case errors.Is(err, coord.ErrDegraded):
+		// The partial payload keeps everything the survivors finished.
+		partial, merr := dseResult(plan, all, simulated)
+		if merr != nil {
+			return nil, errors.Join(err, merr)
 		}
-		return nil, err
+		return partial, err
+	case dctx.Err() != nil && ctx.Err() == nil:
+		return nil, errDrained
+	case ctx.Err() != nil:
+		return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
 	}
-	outcome, err := dse.Collect(plan, append(append([]dse.Record(nil), plan.Hits...), recs...))
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(DSEResult{
-		Enumerated: len(plan.Candidates) + len(plan.Rejected) + len(plan.Pruned),
-		Pruned:     len(plan.Pruned),
-		Rejected:   len(plan.Rejected),
-		Candidates: len(outcome.Records),
-		Simulated:  simulated,
-		CacheHits:  total - simulated,
-		Frontier:   outcome.Frontier,
-	})
+	return nil, err
 }
 
-// degradedResult assembles the partial payload of a degraded campaign:
-// the frontier over every record that did finish, flagged Degraded with
-// the missing count, so the failure still reports everything it learned.
-func (s *Server) degradedResult(plan *dse.Plan, recs []dse.Record, simulated int) (json.RawMessage, error) {
-	all := append(append([]dse.Record(nil), plan.Hits...), recs...)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	return json.Marshal(DSEResult{
+// dseResult assembles a DSE job's payload from the plan, the records
+// gathered so far (cache hits included) and the number of evaluations
+// actually simulated. Records short of the plan's candidates make a
+// partial result: the frontier over every record that did finish,
+// flagged Degraded with the missing count, so a failed campaign still
+// reports everything it learned.
+func dseResult(plan *dse.Plan, all []dse.Record, simulated int) (json.RawMessage, error) {
+	res := DSEResult{
 		Enumerated: len(plan.Candidates) + len(plan.Rejected) + len(plan.Pruned),
 		Pruned:     len(plan.Pruned),
 		Rejected:   len(plan.Rejected),
 		Candidates: len(plan.Candidates),
 		Simulated:  simulated,
 		CacheHits:  len(all) - simulated,
-		Degraded:   true,
-		Missing:    len(plan.Pending) - len(recs),
-		Frontier:   dse.Frontier(all),
-	})
+	}
+	if res.Missing = len(plan.Candidates) - len(all); res.Missing > 0 {
+		res.Degraded = true
+		sorted := append([]dse.Record(nil), all...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+		res.Frontier = dse.Frontier(sorted)
+	} else {
+		outcome, err := dse.Collect(plan, all)
+		if err != nil {
+			return nil, err
+		}
+		res.Frontier = outcome.Frontier
+	}
+	return json.Marshal(res)
 }
 
 // countCacheHits bumps the /metrics cache-hit counter.

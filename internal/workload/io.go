@@ -8,10 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-
-	"chipletnet/internal/jsonl"
-	"chipletnet/internal/packet"
 )
 
 // traceFormat is the magic the header's "format" field must carry.
@@ -135,108 +131,4 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return Decode(f)
-}
-
-// externalRecord is one line of an external dependency-annotated trace:
-// full-name JSON keys, class by name, dependencies by the external id.
-type externalRecord struct {
-	ID    int64  `json:"id"`
-	Cycle int64  `json:"cycle"`
-	Src   int    `json:"src"`
-	Dst   int    `json:"dst"`
-	Flits int    `json:"flits"`
-	Class string `json:"class"`
-	Dep   *int64 `json:"dep"`
-}
-
-// Import loads an external dependency-annotated JSONL trace through the
-// tolerant loader (internal/jsonl): unparseable or invalid lines are
-// quarantined to a .rej sidecar and the load continues — external traces
-// come from other tools and one bad line must not discard the rest. The
-// surviving records are sorted by (cycle, file order), re-numbered
-// densely, and their dependencies remapped; a dependency on a record that
-// was quarantined, missing, or not strictly earlier is an error (the
-// causal structure is the point of such traces, so it cannot be patched
-// silently). Returns the trace and the quarantined line count.
-func Import(path string, endpoints int) (*Trace, int, error) {
-	if endpoints < 2 {
-		return nil, 0, fmt.Errorf("workload: import needs at least 2 endpoints, got %d", endpoints)
-	}
-	var recs []externalRecord
-	quarantined, err := jsonl.Load(path, func(line []byte) error {
-		var r externalRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		if r.Cycle < 0 {
-			return fmt.Errorf("negative cycle %d", r.Cycle)
-		}
-		if r.Src < 0 || r.Src >= endpoints || r.Dst < 0 || r.Dst >= endpoints || r.Src == r.Dst {
-			return fmt.Errorf("bad endpoints %d->%d", r.Src, r.Dst)
-		}
-		if r.Flits < 1 {
-			return fmt.Errorf("no payload")
-		}
-		if r.Class != "" {
-			if _, ok := packet.ClassByName(r.Class); !ok {
-				return fmt.Errorf("unknown class %q", r.Class)
-			}
-		}
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, quarantined, err
-	}
-	if len(recs) == 0 {
-		return nil, quarantined, fmt.Errorf("workload: %s holds no importable records", path)
-	}
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return recs[order[a]].Cycle < recs[order[b]].Cycle })
-
-	newID := make(map[int64]int64, len(recs))
-	for pos, idx := range order {
-		r := recs[idx]
-		if _, dup := newID[r.ID]; dup {
-			return nil, quarantined, fmt.Errorf("workload: %s: duplicate record id %d", path, r.ID)
-		}
-		newID[r.ID] = int64(pos)
-	}
-	t := &Trace{Version: FormatVersion, Endpoints: endpoints, Entries: make([]Entry, len(recs))}
-	for pos, idx := range order {
-		r := recs[idx]
-		cl := packet.ClassBestEffort
-		if r.Class != "" {
-			cl, _ = packet.ClassByName(r.Class)
-		}
-		dep := packet.NoDep
-		if r.Dep != nil {
-			d, ok := newID[*r.Dep]
-			if !ok {
-				return nil, quarantined, fmt.Errorf("workload: %s: record %d depends on unknown record %d", path, r.ID, *r.Dep)
-			}
-			if d >= int64(pos) {
-				return nil, quarantined, fmt.Errorf("workload: %s: record %d depends on record %d which is not strictly earlier", path, r.ID, *r.Dep)
-			}
-			dep = d
-		}
-		t.Entries[pos] = Entry{
-			ID:    int64(pos),
-			Cycle: r.Cycle,
-			Src:   r.Src,
-			Dst:   r.Dst,
-			Flits: r.Flits,
-			Msg:   uint64(pos),
-			Seq:   0,
-			Class: cl,
-			Dep:   dep,
-		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, quarantined, err
-	}
-	return t, quarantined, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"chipletnet/internal/packet"
 	"chipletnet/internal/router"
-	"chipletnet/internal/trace"
 )
 
 // Recorder cuts a workload trace from a live run. It implements
@@ -120,51 +119,3 @@ func (r *Recorder) Trace() (*Trace, error) {
 // packets still in flight when recording stopped) — the ground truth a
 // replay of the same trace on the same configuration must reproduce.
 func (r *Recorder) DeliveryCycles() []int64 { return r.delivered }
-
-// FromEvents cuts a workload trace from an internal/trace event stream
-// (a path-analysis recording that kept inject events): the second way to
-// record, for runs that were already being traced for debugging. Only
-// inject events contribute entries; the stream must cover every packet
-// id densely from 0.
-func FromEvents(events []trace.Event, endpoints []int) (*Trace, error) {
-	r, err := NewRecorder(endpoints)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range events {
-		if e.Kind != trace.Injected {
-			continue
-		}
-		if e.PacketID != uint64(len(r.entries)) {
-			return nil, fmt.Errorf("workload: event stream has packet id %d at entry %d: need a dense unfiltered recording", e.PacketID, len(r.entries))
-		}
-		src, ok := r.endpointOf[e.From]
-		if !ok {
-			return nil, fmt.Errorf("workload: packet %d injected at node %d, which is not a traffic endpoint", e.PacketID, e.From)
-		}
-		dst, ok := r.endpointOf[e.Dst]
-		if !ok {
-			return nil, fmt.Errorf("workload: packet %d addressed to node %d, which is not a traffic endpoint", e.PacketID, e.Dst)
-		}
-		dep := e.Dep
-		if dep < 0 || dep >= int64(e.PacketID) {
-			dep = packet.NoDep
-		}
-		r.entries = append(r.entries, Entry{
-			ID:    int64(e.PacketID),
-			Cycle: e.Cycle,
-			Src:   src,
-			Dst:   dst,
-			Flits: e.Flits,
-			Msg:   e.Msg,
-			Seq:   e.Seq,
-			Class: e.Class,
-			Dep:   dep,
-		})
-	}
-	t := &Trace{Version: FormatVersion, Endpoints: r.endpoints, Entries: r.entries}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}

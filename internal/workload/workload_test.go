@@ -156,90 +156,6 @@ func TestDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-func writeTemp(t *testing.T, name, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestImport(t *testing.T) {
-	// Out-of-order cycles, sparse external ids, a dependency, a named
-	// class, and one damaged line to quarantine.
-	path := writeTemp(t, "ext.jsonl", strings.Join([]string{
-		`{"id":10,"cycle":5,"src":0,"dst":1,"flits":4,"class":"latency"}`,
-		`{"id":20,"cycle":2,"src":1,"dst":2,"flits":8}`,
-		`this line is damage`,
-		`{"id":30,"cycle":9,"src":2,"dst":0,"flits":4,"class":"latency","dep":10}`,
-	}, "\n")+"\n")
-	tr, quarantined, err := Import(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quarantined != 1 {
-		t.Errorf("quarantined %d lines, want 1", quarantined)
-	}
-	if len(tr.Entries) != 3 {
-		t.Fatalf("imported %d entries, want 3", len(tr.Entries))
-	}
-	// Sorted by cycle and densely renumbered: id 20 (cycle 2) first.
-	if tr.Entries[0].Cycle != 2 || tr.Entries[0].Src != 1 {
-		t.Errorf("entry 0 = %+v, want the cycle-2 record", tr.Entries[0])
-	}
-	if tr.Entries[0].Class != packet.ClassBestEffort {
-		t.Errorf("classless record imported as class %d", tr.Entries[0].Class)
-	}
-	if tr.Entries[1].Class != packet.ClassLatency {
-		t.Errorf("latency record imported as class %d", tr.Entries[1].Class)
-	}
-	// The dependency on external id 10 remaps to the new dense id 1.
-	if tr.Entries[2].Dep != 1 {
-		t.Errorf("dependency remapped to %d, want 1", tr.Entries[2].Dep)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("imported trace invalid: %v", err)
-	}
-}
-
-func TestImportErrors(t *testing.T) {
-	cases := []struct {
-		name, content string
-	}{
-		{"dep-on-quarantined", `{"id":1,"cycle":0,"src":0,"dst":1,"flits":1}` + "\n" +
-			"damage\n" +
-			`{"id":3,"cycle":1,"src":0,"dst":1,"flits":1,"dep":2}` + "\n"},
-		{"dep-not-earlier", `{"id":1,"cycle":5,"src":0,"dst":1,"flits":1,"dep":2}` + "\n" +
-			`{"id":2,"cycle":5,"src":1,"dst":0,"flits":1}` + "\n"},
-		{"duplicate-ids", `{"id":1,"cycle":0,"src":0,"dst":1,"flits":1}` + "\n" +
-			`{"id":1,"cycle":1,"src":1,"dst":0,"flits":1}` + "\n"},
-		{"all-quarantined", "damage\nmore damage\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeTemp(t, "bad.jsonl", tc.content)
-			if _, _, err := Import(path, 2); err == nil {
-				t.Fatal("bad external trace imported")
-			}
-		})
-	}
-	// Records with bad endpoints or unknown classes are quarantined, not
-	// fatal: the rest of the trace still loads.
-	path := writeTemp(t, "mixed.jsonl", strings.Join([]string{
-		`{"id":1,"cycle":0,"src":0,"dst":9,"flits":1}`,
-		`{"id":2,"cycle":0,"src":0,"dst":1,"flits":1,"class":"warp-speed"}`,
-		`{"id":3,"cycle":1,"src":0,"dst":1,"flits":1}`,
-	}, "\n")+"\n")
-	tr, quarantined, err := Import(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quarantined != 2 || len(tr.Entries) != 1 {
-		t.Errorf("quarantined=%d entries=%d, want 2 and 1", quarantined, len(tr.Entries))
-	}
-}
-
 func TestRecorder(t *testing.T) {
 	rec, err := NewRecorder([]int{5, 9, 13})
 	if err != nil {

@@ -98,18 +98,6 @@ func effectiveIslands() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Reset returns a built, already-simulated system to its pre-simulation
-// state — buffers, credits, links, counters and engine scheduling as
-// freshly built, with all allocated capacity retained — so the same
-// topology and routing can host another run without rebuilding (e.g.
-// SaturationRate's bisection probes). A reset run is bit-identical to a
-// run on a fresh Build of the same Config. Not legal after runs whose
-// fault schedule mutates structure (Kill or Degrade events): degraded
-// bandwidth and condemned group membership are not restored.
-func (s *System) Reset() {
-	s.Topo.Fabric.Reset()
-}
-
 // Build constructs the system described by cfg: routers, links, labels,
 // groups, chiplet interconnection and routing algorithm.
 func Build(cfg Config) (*System, error) {
@@ -274,18 +262,26 @@ func (s *System) Simulate() (Result, error) {
 // Result carries the usual diagnostic snapshot). Test with errors.Is.
 var ErrCanceled = errors.New("chipletnet: run canceled")
 
-// runMany is the shared parallel executor: it simulates every
-// configuration on the GOMAXPROCS-bounded worker pool (forEach) and
-// returns per-configuration results and errors in input order (a panic in
-// one run is recovered into that run's error). Each configuration gets
-// its own Build, so no mutable state is shared between workers; output
-// ordering is positional and therefore schedule-independent.
+// RunMany builds and simulates every configuration, in parallel across
+// CPUs, and returns per-configuration results and errors in input order:
+// results[i] and errs[i] belong to cfgs[i] regardless of scheduling, and
+// results[i] is valid exactly when errs[i] is nil (a panic in one run is
+// recovered into that run's error). Each configuration gets its own
+// Build, so no mutable state is shared between workers.
 //
-// The pool is island-aware: under EngineIslands each run brings its own
-// K worker goroutines, so the campaign budget shrinks to
-// GOMAXPROCS / K concurrent runs — campaign-level and intra-run
-// parallelism share one CPU budget instead of oversubscribing.
-func runMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
+// Canceling ctx aborts the batch cleanly: runs not yet started are
+// skipped, running ones stop at their next cycle boundary, and every
+// affected configuration reports an error wrapping ErrCanceled — this is
+// how the campaign daemon's per-job deadlines and graceful drain reach
+// into a batch without losing the completed results. A context that is
+// never canceled leaves every result bit-identical to Run's.
+//
+// This is the parallelism entry point for experiment campaigns: internal
+// packages must not spawn goroutines (see cmd/chipletlint), so they hand
+// their job lists here. The pool is island-aware: under EngineIslands
+// each run brings its own K worker goroutines, so the campaign budget
+// shrinks to GOMAXPROCS / K concurrent runs.
+func RunMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
 	results := make([]Result, len(cfgs))
 	workers := runtime.GOMAXPROCS(0)
 	if UseEngine == EngineIslands {
@@ -349,141 +345,4 @@ func runOne(ctx context.Context, cfg Config) (Result, error) {
 		err = fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 	}
 	return res, err
-}
-
-// RunMany builds and simulates every configuration, in parallel across
-// CPUs, and returns the results in input order: results[i] belongs to
-// cfgs[i] regardless of scheduling. On failure the partial results are
-// returned alongside the joined per-configuration errors; results[i] is
-// valid exactly when cfgs[i]'s run produced no error. This is the
-// parallelism entry point for experiment campaigns — internal packages
-// must not spawn goroutines (see cmd/chipletlint), so they hand their
-// job lists here.
-func RunMany(cfgs []Config) ([]Result, error) {
-	return RunManyCtx(context.Background(), cfgs)
-}
-
-// RunManyCtx is RunMany under a context: canceling ctx aborts the whole
-// batch cleanly — runs not yet started are skipped, running ones stop at
-// their next cycle boundary — and every affected configuration reports
-// an error wrapping ErrCanceled. This is how the campaign daemon's
-// per-job deadlines and graceful drain reach into a worker pool
-// mid-batch without losing the completed results.
-func RunManyCtx(ctx context.Context, cfgs []Config) ([]Result, error) {
-	results, errs := runMany(ctx, cfgs)
-	for i, e := range errs {
-		if e != nil {
-			errs[i] = fmt.Errorf("chipletnet: config %d: %w", i, e)
-		}
-	}
-	return results, errors.Join(errs...)
-}
-
-// RunEach is RunMany with per-configuration error reporting instead of a
-// joined error: errs[i] is nil exactly when results[i] is valid, letting
-// callers attach their own labels to failures.
-func RunEach(cfgs []Config) (results []Result, errs []error) {
-	return runMany(context.Background(), cfgs)
-}
-
-// RunEachCtx is RunEach under a context; see RunManyCtx for the
-// cancellation semantics.
-func RunEachCtx(ctx context.Context, cfgs []Config) (results []Result, errs []error) {
-	return runMany(ctx, cfgs)
-}
-
-// Sweep runs cfg at every injection rate, in parallel across CPUs, and
-// returns the results in rate order. A panic in one run is recovered into
-// that rate's error instead of crashing the sweep. On failure the partial
-// results are returned alongside the joined per-rate errors: results[i]
-// is valid exactly when no error mentions rates[i] (a failed rate leaves
-// its zero Result).
-func Sweep(cfg Config, rates []float64) ([]Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfgs := make([]Config, len(rates))
-	for i, r := range rates {
-		cfgs[i] = cfg
-		cfgs[i].InjectionRate = r
-	}
-	results, errs := runMany(context.Background(), cfgs)
-	for i, e := range errs {
-		if e != nil {
-			errs[i] = fmt.Errorf("chipletnet: rate %g: %w", rates[i], e)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return results, err
-	}
-	return results, nil
-}
-
-// SaturationRate binary-searches the maximum injection rate (flits/node/
-// cycle) the configuration sustains without saturating, within tol.
-//
-// Bisection probes differ only in injection rate, so when the fault
-// schedule contains no structure-mutating events (Kill, Degrade) the
-// search builds the system once and reuses it across probes via Reset —
-// each probe still bit-identical to a fresh Run at that rate.
-func SaturationRate(cfg Config, lo, hi, tol float64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	reuse := len(cfg.Fault.Kill) == 0 && len(cfg.Fault.Degrade) == 0
-	var sys *System
-	if reuse {
-		var err error
-		if sys, err = Build(cfg); err != nil {
-			return 0, err
-		}
-	}
-	ran := false
-	stable := func(rate float64) (bool, error) {
-		c := cfg
-		c.InjectionRate = rate
-		var res Result
-		var err error
-		if reuse {
-			if ran {
-				sys.Reset()
-			}
-			ran = true
-			sys.Cfg = c
-			res, err = sys.Simulate()
-		} else {
-			res, err = Run(c)
-		}
-		if err != nil {
-			return false, err
-		}
-		return !res.Saturated(), nil
-	}
-	okLo, err := stable(lo)
-	if err != nil {
-		return 0, err
-	}
-	if !okLo {
-		return 0, nil
-	}
-	okHi, err := stable(hi)
-	if err != nil {
-		return 0, err
-	}
-	if okHi {
-		return hi, nil
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		ok, err := stable(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }

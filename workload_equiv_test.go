@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"chipletnet/internal/trace"
+	"chipletnet/internal/packet"
 )
 
 // aiWorkloadSpec is the QoS-rich workload of the equivalence gates: a
@@ -200,6 +200,13 @@ func TestWorkloadAIScaleOutEngineEquivalence(t *testing.T) {
 	}
 }
 
+// nopTracer is a router.Tracer that records nothing.
+type nopTracer struct{}
+
+func (nopTracer) PacketInjected(*packet.Packet, int, int64)                  {}
+func (nopTracer) FlitsMoved(*packet.Packet, int, int, int, int, bool, int64) {}
+func (nopTracer) PacketDelivered(*packet.Packet, int64)                      {}
+
 // TestWorkloadRecordControlRejections covers the recording guard rails:
 // no recording on resume, and no recording under another tracer.
 func TestWorkloadRecordControlRejections(t *testing.T) {
@@ -211,7 +218,7 @@ func TestWorkloadRecordControlRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Topo.Fabric.Tracer = &trace.Recorder{}
+	sys.Topo.Fabric.Tracer = nopTracer{}
 	if _, err := sys.SimulateControlled(RunControl{TracePath: filepath.Join(t.TempDir(), "t.trace")}); err == nil {
 		t.Error("recording under another tracer accepted")
 	}
