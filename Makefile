@@ -64,10 +64,12 @@ fuzz:
 
 # test-dse runs the design-space-exploration matrix under the race
 # detector — enumeration/pruning determinism, the verify pre-flight
-# rejections and the GOMAXPROCS-independent plan, cache round-trip and
-# crash tolerance, the cold-then-warm byte-identical-report gate, the
-# command-line parsers chipletdse binds its flags with (cmd/internal/cli,
-# shared by every command) — then the parallel certification pool
+# rejections and the GOMAXPROCS-independent plan, store round-trip,
+# crash tolerance and single-file refusal, the Evaluate chunk loop
+# (GOMAXPROCS-independent records, stopping between chunks), the
+# cold-then-warm byte-identical-report gate, the command-line parsers
+# chipletdse binds its flags with (cmd/internal/cli, shared by every
+# command) — then the parallel certification pool
 # (VerifyEach) and the certifier's pinned output (TestCertificateGolden),
 # plus the Pareto-frontier invariant fuzz seed corpus.
 test-dse:
@@ -77,7 +79,8 @@ test-dse:
 
 # test-daemon runs the campaign-daemon matrix under the race detector:
 # the service core (journal replay, drain/requeue, deadline/retry/cancel
-# classification, HTTP endpoints), the backoff policy, the self-healing
+# classification, HTTP endpoints, submit-time spec validation and the
+# FuzzJobSpec seed corpus), the backoff policy, the self-healing
 # JSONL loader, the sharded-cache merge gate, batch-cancellation through
 # the module root, and the chipletd process-level acceptance tests —
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.

@@ -52,7 +52,7 @@ func TestCoordinatorChaos(t *testing.T) {
 	spec := slowDSESpec()
 
 	// Single-machine reference, computed in-process.
-	refStore, err := dse.OpenCache("")
+	refStore, err := dse.OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}

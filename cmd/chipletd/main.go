@@ -14,10 +14,10 @@
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: intake stops (/readyz
 // turns 503), in-flight simulate jobs snapshot a checkpoint, DSE jobs
-// finish their current candidate, everything interrupted is durably
-// requeued, and the process exits 0. On SIGKILL the same journal+cache
-// machinery replays at the next start: journaled-done work is never
-// redone, interrupted work resumes from its checkpoint or cache.
+// finish their current chunk of candidates, everything interrupted is
+// durably requeued, and the process exits 0. On SIGKILL the same
+// journal+cache machinery replays at the next start: journaled-done work
+// is never redone, interrupted work resumes from its checkpoint or cache.
 //
 // API (see internal/service):
 //

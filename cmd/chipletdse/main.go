@@ -7,22 +7,27 @@
 // Pareto frontier over (saturation rate, zero-load latency, transport
 // energy).
 //
-// Evaluations are content-addressed: -cache FILE persists every
+// Evaluations are content-addressed: -cache DIR persists every
 // measured candidate keyed by the hash of its fully-resolved
-// configuration, so overlapping sweeps and re-runs skip simulation
-// entirely (a repeated run is 100% cache hits and reproduces the
-// reports byte for byte), and a killed exploration resumes where it
-// stopped. A -cache ending in / (or naming an existing directory) is a
-// 16-way sharded cache keyed by hash prefix; shard directories populated
-// on different machines merge losslessly with -merge, and the merged
-// cache reproduces the single-machine reports byte for byte.
+// configuration, as 16 JSONL shards by hash prefix, so overlapping
+// sweeps and re-runs skip simulation entirely (a repeated run is 100%
+// cache hits and reproduces the reports byte for byte), and a killed
+// exploration resumes where it stopped. Cache directories populated on
+// different machines merge losslessly with -merge, and the merged cache
+// reproduces the single-machine reports byte for byte. -merge also
+// reads a single-file cache written before the cache became a
+// directory; that is the migration path (-cache refuses such a file).
+//
+// Candidates are evaluated in chunks of about GOMAXPROCS simulation runs
+// (dse.Evaluate), each chunk cached before the next starts.
 //
 // Examples:
 //
-//	chipletdse -chiplets 16 -cache dse.jsonl -out results/dse
+//	chipletdse -chiplets 16 -cache dse-cache/ -out results/dse
 //	chipletdse -chiplets 16 -pin-budget 1024 -min-group-width 2 -json
 //	chipletdse -chiplets 64 -topologies hypercube,ndmesh -rates 0.05,0.2,0.4
 //	chipletdse -cache merged/ -merge hostA-cache/,hostB-cache/
+//	chipletdse -cache dse-cache/ -merge old-dse.jsonl
 //
 // Exit status: 0 on success, 1 on usage or evaluation errors, 2 when a
 // verified candidate deadlocked at runtime (a cross-validation failure
@@ -31,11 +36,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"chipletnet/cmd/internal/cli"
 	"chipletnet/internal/dse"
@@ -63,12 +68,11 @@ func main() {
 	fs.Int64Var(&params.WarmupCycles, "warmup", 0, "warm-up cycles per run (default 300)")
 	fs.Int64Var(&params.MeasureCycles, "measure", 0, "measured cycles per run (default 1500)")
 	fs.Uint64Var(&params.Seed, "seed", 1, "random seed (part of the evaluation cache key)")
-	cachePath := fs.String("cache", "", "content-addressed evaluation cache: a JSONL file, or a directory for the 16-way sharded cache (trailing / or an existing directory; shards merge across machines with -merge)")
-	fs.ListVar(&mergeSrcs, "merge", "comma-separated caches (files or shard directories) to merge into -cache, then exit")
+	cachePath := fs.String("cache", "", "content-addressed evaluation cache directory (16 JSONL shards; merge caches across machines with -merge)")
+	fs.ListVar(&mergeSrcs, "merge", "comma-separated cache directories, or old single-file caches, to merge into -cache, then exit")
 	outDir := fs.String("out", "", "directory for the report set (candidates.csv, frontier.csv, frontier.json, topoviz script, per-design configs)")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON on stdout")
 	fs.Engine()
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent candidate evaluations")
 	verbose := fs.Bool("v", false, "list pruned and rejected candidates on stderr")
 	fs.MustParse()
 
@@ -97,6 +101,9 @@ func main() {
 		total := 0
 		for _, src := range mergeSrcs {
 			from, err := dse.OpenStore(src)
+			if errors.Is(err, dse.ErrSingleFile) {
+				from, err = dse.ReadCacheFile(src)
+			}
 			if err != nil {
 				cli.Fatalf("opening merge source %s: %v", src, err)
 			}
@@ -121,7 +128,7 @@ func main() {
 	}
 	cli.Logf("%d candidates enumerated: %d statically pruned, %d rejected by verify pre-flight, %d verified",
 		len(plan.Candidates)+len(plan.Rejected), len(plan.Pruned), len(plan.Rejected), len(plan.Candidates))
-	cli.Logf("%d cache hits, %d to simulate (workers=%d)", len(plan.Hits), len(plan.Pending), *workers)
+	cli.Logf("%d cache hits, %d to simulate", len(plan.Hits), len(plan.Pending))
 	if *verbose {
 		for _, p := range plan.Pruned {
 			cli.Logf("  pruned   %s: %s", p.Name, p.Reason)
@@ -131,11 +138,11 @@ func main() {
 		}
 	}
 
-	recs, err := evaluate(plan, cache, *workers)
+	recs, err := dse.Evaluate(context.Background(), plan.Pending, cache, nil)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	outcome, err := dse.Collect(plan, recs)
+	outcome, err := dse.Collect(plan, append(plan.Hits, recs...))
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
@@ -169,45 +176,6 @@ func main() {
 		}
 	}
 	os.Exit(exit)
-}
-
-// evaluate runs the plan's pending candidates on a worker pool, caching
-// each record as it completes (so a killed exploration resumes from the
-// cache). Results are positional: recs[i] pairs with the i-th verified
-// candidate regardless of scheduling.
-func evaluate(plan *dse.Plan, cache dse.Store, workers int) ([]dse.Record, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	recs := append([]dse.Record(nil), plan.Hits...)
-	fresh := make([]dse.Record, len(plan.Pending))
-	errs := make([]error, len(plan.Pending))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rec, err := plan.Pending[i].Run()
-				if err == nil {
-					err = cache.Put(rec)
-				}
-				fresh[i], errs[i] = rec, err
-			}
-		}()
-	}
-	for i := range plan.Pending {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", plan.Pending[i].Candidate.Name, err)
-		}
-	}
-	return append(recs, fresh...), nil
 }
 
 // printFrontier writes the human-readable ranking: the Pareto frontier

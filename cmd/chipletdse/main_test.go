@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,7 +46,7 @@ func run(t *testing.T, args string) (stdout, stderr string, code int) {
 // TestTinyExploration: a four-chiplet space explores to a JSON report
 // with a non-empty frontier and exits 0.
 func TestTinyExploration(t *testing.T) {
-	out, stderr, code := run(t, "-chiplets 4 -topologies mesh,hypercube -routing mfr -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -workers 1 -json")
+	out, stderr, code := run(t, "-chiplets 4 -topologies mesh,hypercube -routing mfr -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -json")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
 	}
@@ -77,5 +78,53 @@ func TestRejectsBadInput(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.want, stderr)
 			}
 		})
+	}
+}
+
+// TestMergeMigratesSingleFileCache: a single-file cache (the layout
+// before the cache became a directory of shards, here rebuilt by
+// concatenating a cache directory's shards) is refused as -cache with
+// the migration hint, and -merge reads it into a new cache directory
+// that serves the whole exploration with reports identical to the
+// original run's.
+func TestMergeMigratesSingleFileCache(t *testing.T) {
+	base := t.TempDir()
+	a, b := filepath.Join(base, "A")+"/", filepath.Join(base, "B")+"/"
+	old := filepath.Join(base, "old.jsonl")
+	explore := "-chiplets 4 -topologies mesh,hypercube -routing mfr -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -json -cache "
+
+	want, stderr, code := run(t, explore+a)
+	if code != 0 || !strings.Contains(stderr, "0 cache hits") {
+		t.Fatalf("cold run: exit %d, want 0 with no cache hits; stderr:\n%s", code, stderr)
+	}
+	shards, err := filepath.Glob(filepath.Join(a, "shard-*.jsonl"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shard files in %s: %v", a, err)
+	}
+	var concat []byte
+	for _, sh := range shards {
+		data, err := os.ReadFile(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concat = append(concat, data...)
+	}
+	if err := os.WriteFile(old, concat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, code = run(t, explore+old)
+	if code != 1 || !strings.Contains(stderr, "-merge "+old) {
+		t.Fatalf("-cache FILE: exit %d, want 1 with the migration hint; stderr:\n%s", code, stderr)
+	}
+	if _, stderr, code = run(t, "-cache "+b+" -merge "+old); code != 0 {
+		t.Fatalf("-merge FILE: exit %d; stderr:\n%s", code, stderr)
+	}
+	got, stderr, code := run(t, explore+b)
+	if code != 0 || !strings.Contains(stderr, " 0 to simulate") {
+		t.Fatalf("run on the migrated cache: exit %d, want 0 with nothing to simulate; stderr:\n%s", code, stderr)
+	}
+	if got != want {
+		t.Errorf("report from the migrated cache differs from the original:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package cli_test
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -15,8 +14,7 @@ import (
 // ...)" clauses of its -h entry, unquoted and joined by "|" ("" for a
 // flag -h prints no default for). A clause written into a usage text
 // counts too, so a flag that gains a non-zero default while its usage
-// already names one shows two. The chipletdse -workers default is
-// GOMAXPROCS, which the test fixes at 3.
+// already names one shows two.
 var surface = map[string]map[string]string{
 	"chipletsim": {
 		"checkcredits": "", "checkpoint": "", "checkpoint-every": "", "config": "",
@@ -42,7 +40,7 @@ var surface = map[string]map[string]string{
 		"noc": "4x4", "offchip-bw": "2", "out": "", "pattern": "uniform", "pin-budget": "",
 		"rates": "0.05,0.15,0.3,0.5,0.8", "routing": "all: mfr,adaptive,equal-channel",
 		"seed": "1", "topologies": "all: mesh,ndmesh,ndtorus,hypercube,dragonfly,tree",
-		"tree-fanouts": "2,3,4", "v": "", "warmup": "300", "workers": "3", "workloads": "",
+		"tree-fanouts": "2,3,4", "v": "", "warmup": "300", "workloads": "",
 		"zero-load-rate": "0.02",
 	},
 	"chipletfig": {
@@ -104,9 +102,7 @@ func TestFlagSurface(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for name, want := range surface {
-		cmd := exec.Command(filepath.Join(bin, name), "-h")
-		cmd.Env = append(os.Environ(), "GOMAXPROCS=3")
-		help, _ := cmd.CombinedOutput() // -h exits 0, or 1 for chipletd
+		help, _ := exec.Command(filepath.Join(bin, name), "-h").CombinedOutput() // -h exits 0, or 1 for chipletd
 		if got := helpSurface(string(help)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s -h flag surface changed:\n got %v\nwant %v\n-h output:\n%s", name, got, want, help)
 		}

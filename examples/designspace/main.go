@@ -10,8 +10,7 @@
 // §VII).
 //
 // cmd/chipletdse is the command-line face of the same pipeline, with a
-// persistent evaluation cache and parallel evaluation; this example
-// shows the library flow.
+// persistent evaluation cache; this example shows the library flow.
 package main
 
 import (
@@ -34,10 +33,10 @@ func main() {
 	}
 	params := dse.DefaultParams()
 
-	// A memory-only cache keeps the example self-contained; pass a file
-	// path (as cmd/chipletdse -cache does) to persist evaluations across
-	// runs and resume interrupted explorations.
-	cache, err := dse.OpenCache("")
+	// A memory-only store keeps the example self-contained; pass a
+	// directory (as cmd/chipletdse -cache does) to persist evaluations
+	// across runs and resume interrupted explorations.
+	cache, err := dse.OpenStore("")
 	if err != nil {
 		log.Fatal(err)
 	}

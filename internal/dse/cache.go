@@ -6,7 +6,10 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -68,63 +71,95 @@ func Key(cfg chipletnet.Config, p Params) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Store is the evaluation-store interface the planner and the campaign
-// daemon consume. The single-file Cache and the ShardedCache both
-// implement it; Merge unions any mix of the two.
-type Store interface {
-	// Lookup returns the cached record for key.
-	Lookup(key string) (Record, bool)
-	// Put persists rec under rec.Key durably before returning.
-	Put(rec Record) error
-	// Records returns every cached record in ascending key order — the
-	// deterministic enumeration Merge walks.
-	Records() []Record
-	// Len returns the number of cached records.
-	Len() int
-	// Quarantined returns how many corrupt lines the open moved to the
-	// .rej sidecar(s) (see internal/jsonl).
-	Quarantined() int
-	// Close releases the underlying file(s).
-	Close() error
-}
-
-// cacheLine is the JSONL envelope of one cache entry: the content key
-// and the gob-encoded Record (json marshals []byte as base64). Gob preserves float64 results
-// exactly, so a Record read back from the cache is bit-identical to the
-// freshly measured one — the property behind byte-identical re-run
-// reports.
+// cacheLine is the JSONL envelope of one store entry: the content key
+// and the gob-encoded Record (json marshals []byte as base64). Gob
+// preserves float64 results exactly, so a Record read back from the store
+// is bit-identical to the freshly measured one — the property behind
+// byte-identical re-run reports.
 type cacheLine struct {
 	K string
 	G []byte
 }
 
-// Cache is the content-addressed evaluation store: a map from candidate
-// key to Record, persisted as an append-only JSONL file fsynced after
-// every record (jsonl.Appender, shared with every journal).
-// A process killed mid-append leaves at most one torn final line, which
-// OpenCache drops from the file before appending resumes; any other
-// corrupt line is quarantined to a .rej sidecar and the later valid
-// entries are kept (self-healing reads; see internal/jsonl). A later
-// entry for a key overrides an earlier one. With an empty path the cache
-// is memory-only.
-//
-// Cache is safe for concurrent use; cmd/chipletdse and the campaign
-// daemon record from worker pools.
-type Cache struct {
-	mu          sync.Mutex      // held across Append so file and recs agree on order
-	log         *jsonl.Appender // nil when memory-only
-	recs        map[string]Record
-	quarantined int
+// ErrSingleFile reports that a store path names a regular file: a
+// single-file cache written before the store became a directory of
+// shards. Returned wrapped, with the migration command; test with
+// errors.Is.
+var ErrSingleFile = errors.New("dse: store path is a single-file cache")
+
+// Store is the content-addressed evaluation store: a map from candidate
+// key to Record in ShardN shards by key prefix (ShardIndex), each an
+// append-only JSONL file fsynced after every record (jsonl.Appender), or
+// memory-only. OpenStore drops a torn final line (a crash mid-append) and
+// quarantines any other corrupt line to a .rej sidecar, keeping the later
+// valid entries (see internal/jsonl); a later entry for a key overrides
+// an earlier one. Merge unions stores populated on different machines.
+// Store is safe for concurrent use; each shard has its own lock.
+type Store struct {
+	shards      [ShardN]shard
+	quarantined int // corrupt lines moved to .rej sidecars at open
 }
 
-// OpenCache opens (creating if needed) the cache at path and loads its
-// entries, healing crash and corruption damage in place. An empty path
-// returns a memory-only cache.
-func OpenCache(path string) (*Cache, error) {
-	c := &Cache{recs: map[string]Record{}}
-	if path == "" {
-		return c, nil
+// shard is one key-prefix slice of a Store.
+type shard struct {
+	mu   sync.Mutex      // held across Append so file and recs agree on order
+	log  *jsonl.Appender // nil when memory-only
+	recs map[string]Record
+}
+
+func newStore() *Store {
+	s := &Store{}
+	for i := range s.shards {
+		s.shards[i].recs = map[string]Record{}
 	}
+	return s
+}
+
+// OpenStore opens (creating if needed) the store rooted at directory dir
+// and loads every shard, healing crash and corruption damage in place.
+// An empty dir returns a memory-only store. A regular file at dir is
+// refused with ErrSingleFile: chipletdse -merge migrates it.
+func OpenStore(dir string) (*Store, error) {
+	s := newStore()
+	if dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		if fi, serr := os.Stat(filepath.Clean(dir)); serr == nil && fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("%w: %s; migrate it with: chipletdse -cache DIR/ -merge %s", ErrSingleFile, dir, dir)
+		}
+		return nil, fmt.Errorf("dse: store: %w", err)
+	}
+	for i := range s.shards {
+		path := filepath.Join(dir, shardFile(i))
+		err := s.load(path)
+		if err == nil {
+			s.shards[i].log, err = jsonl.OpenAppender(path)
+		}
+		if err != nil {
+			s.Close() // release the shards already opened
+			return nil, fmt.Errorf("dse: store %s: %w", dir, err)
+		}
+	}
+	return s, nil
+}
+
+// ReadCacheFile reads a single-file cache — the layout before the store
+// became a directory of shards — into a memory-only Store, with the same
+// line decoder and healing as OpenStore. Merging the result into a
+// directory store migrates the old cache.
+func ReadCacheFile(path string) (*Store, error) {
+	s := newStore()
+	if err := s.load(path); err != nil {
+		return nil, fmt.Errorf("dse: cache %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// load reads the JSONL file at path into s (see jsonl.Load), each record
+// into its key's shard. A line that does not decode, or whose envelope key
+// disagrees with its record, is quarantined.
+func (s *Store) load(path string) error {
 	q, err := jsonl.Load(path, func(line []byte) error {
 		var cl cacheLine
 		if err := json.Unmarshal(line, &cl); err != nil {
@@ -137,33 +172,37 @@ func OpenCache(path string) (*Cache, error) {
 		if rec.Key != cl.K {
 			return fmt.Errorf("record key %.12s does not match envelope key %.12s", rec.Key, cl.K)
 		}
-		c.recs[cl.K] = rec
+		i, err := ShardIndex(rec.Key)
+		if err != nil {
+			return err
+		}
+		s.shards[i].recs[rec.Key] = rec
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("dse: cache %s: %w", path, err)
-	}
-	c.quarantined = q
-	if c.log, err = jsonl.OpenAppender(path); err != nil {
-		return nil, err
-	}
-	return c, nil
+	s.quarantined += q
+	return err
 }
 
-// Lookup returns the cached record for key.
-func (c *Cache) Lookup(key string) (Record, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.recs[key]
+// Lookup returns the stored record for key.
+func (s *Store) Lookup(key string) (Record, bool) {
+	i, err := ShardIndex(key)
+	if err != nil {
+		return Record{}, false
+	}
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec, ok := sh.recs[key]
 	return rec, ok
 }
 
-// Put stores rec under rec.Key and, for a file-backed cache, appends and
-// fsyncs the entry before returning, so a finished evaluation survives
-// any crash that follows it.
-func (c *Cache) Put(rec Record) error {
-	if rec.Key == "" {
-		return fmt.Errorf("dse: refusing to cache a record with no key")
+// Put stores rec in its key's shard and, for an on-disk store, appends
+// and fsyncs the entry before returning, so a finished evaluation
+// survives any crash that follows it.
+func (s *Store) Put(rec Record) error {
+	i, err := ShardIndex(rec.Key)
+	if err != nil {
+		return err
 	}
 	var g bytes.Buffer
 	if err := gob.NewEncoder(&g).Encode(rec); err != nil {
@@ -173,52 +212,62 @@ func (c *Cache) Put(rec Record) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.log != nil {
-		if err := c.log.Append(line); err != nil {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.log != nil {
+		if err := sh.log.Append(line); err != nil {
 			return err
 		}
 	}
-	c.recs[rec.Key] = rec
+	sh.recs[rec.Key] = rec
 	return nil
 }
 
-// Records returns every cached record in ascending key order.
-func (c *Cache) Records() []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Record, 0, len(c.recs))
-	for _, rec := range c.recs {
-		out = append(out, rec)
+// Records returns every stored record in ascending key order — the
+// deterministic enumeration Merge walks.
+func (s *Store) Records() []Record {
+	var out []Record
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, rec := range sh.recs {
+			out = append(out, rec)
+		}
+		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 	return out
 }
 
-// Len returns the number of cached records.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.recs)
-}
-
-// Quarantined returns how many corrupt lines OpenCache moved to the
-// .rej sidecar.
-func (c *Cache) Quarantined() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined
-}
-
-// Close closes the underlying file (a no-op for memory-only caches).
-func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.log == nil {
-		return nil
+// Len returns the number of stored records.
+func (s *Store) Len() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += len(sh.recs)
+		sh.mu.Unlock()
 	}
-	err := c.log.Close()
-	c.log = nil
-	return err
+	return n
+}
+
+// Quarantined returns how many corrupt lines the open moved to .rej
+// sidecars.
+func (s *Store) Quarantined() int { return s.quarantined }
+
+// Close closes every shard file, joining any errors (a no-op for a
+// memory-only store).
+func (s *Store) Close() error {
+	var errs []error
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if sh.log != nil {
+			errs = append(errs, sh.log.Close())
+			sh.log = nil
+		}
+		sh.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }

@@ -31,12 +31,12 @@ func testRecord(key, name string) Record {
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testRecord("key-1", "cand-1")
+	want := testRecord("a001", "cand-1")
 	if err := c.Put(want); err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenCache(path)
+	c2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	got, ok := c2.Lookup("key-1")
+	got, ok := c2.Lookup("a001")
 	if !ok {
 		t.Fatal("record not found after reopen")
 	}
@@ -62,43 +62,45 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 func TestCacheMemoryOnly(t *testing.T) {
-	c, err := OpenCache("")
+	c, err := OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(testRecord("k", "n")); err != nil {
+	if err := c.Put(testRecord("0b", "n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Lookup("k"); !ok {
-		t.Error("memory-only cache lost its record")
+	if _, ok := c.Lookup("0b"); !ok {
+		t.Error("memory-only store lost its record")
 	}
 	if err := c.Close(); err != nil {
-		t.Errorf("Close on memory-only cache: %v", err)
+		t.Errorf("Close on memory-only store: %v", err)
 	}
 }
 
 func TestCacheRejectsKeylessRecord(t *testing.T) {
-	c, _ := OpenCache("")
+	c, _ := OpenStore("")
 	if err := c.Put(Record{Name: "keyless"}); err == nil {
 		t.Error("Put accepted a record with no key")
 	}
 }
 
 func TestCacheToleratesTruncatedFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(testRecord("key-1", "cand-1")); err != nil {
+	if err := c.Put(testRecord("a001", "cand-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(testRecord("key-2", "cand-2")); err != nil {
+	if err := c.Put(testRecord("a002", "cand-2")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 
-	// Simulate a crash mid-append: chop the tail of the final line.
+	// Simulate a crash mid-append: chop the tail of the shard's final
+	// line.
+	path := filepath.Join(dir, shardFile(10))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -107,22 +109,22 @@ func TestCacheToleratesTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenCache(path)
+	c2, err := OpenStore(dir)
 	if err != nil {
-		t.Fatalf("OpenCache on truncated file: %v", err)
+		t.Fatalf("OpenStore on a truncated shard: %v", err)
 	}
-	if _, ok := c2.Lookup("key-1"); !ok {
+	if _, ok := c2.Lookup("a001"); !ok {
 		t.Error("intact first record lost after truncation")
 	}
-	if _, ok := c2.Lookup("key-2"); ok {
+	if _, ok := c2.Lookup("a002"); ok {
 		t.Error("truncated record should not load")
 	}
-	// The cache stays usable: re-put the lost record and reopen.
-	if err := c2.Put(testRecord("key-2", "cand-2")); err != nil {
+	// The store stays usable: re-put the lost record and reopen.
+	if err := c2.Put(testRecord("a002", "cand-2")); err != nil {
 		t.Fatal(err)
 	}
 	c2.Close()
-	c3, err := OpenCache(path)
+	c3, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,26 +135,27 @@ func TestCacheToleratesTruncatedFinalLine(t *testing.T) {
 }
 
 // TestCacheQuarantinesCorruptInterior: corruption in the middle of a
-// cache file (flipped bits, partial writes from a lost race, operator
+// shard file (flipped bits, partial writes from a lost race, operator
 // edits) must not cost the later valid entries. Corrupt lines move to a
 // .rej sidecar for inspection, the file is atomically rewritten with
 // only the valid lines, and reopening is clean.
 func TestCacheQuarantinesCorruptInterior(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"key-1", "key-2", "key-3"} {
+	for _, k := range []string{"a001", "a002", "a003"} {
 		if err := c.Put(testRecord(k, "cand-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Close()
 
-	// Corruption matrix, spliced between the valid lines: not JSON at
-	// all, JSON with a truncated gob payload, and a valid envelope whose
-	// key disagrees with the record inside (bit rot in K).
+	// Corruption matrix, spliced between the valid lines of shard a: not
+	// JSON at all, JSON with a truncated gob payload, and a valid envelope
+	// whose key disagrees with the record inside (bit rot in K).
+	path := filepath.Join(dir, shardFile(10))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -161,21 +164,21 @@ func TestCacheQuarantinesCorruptInterior(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("seeded %d lines, want 3", len(lines))
 	}
-	mismatched := []byte(`{"K":"someone-elses-key`)
-	mismatched = append(mismatched, lines[2][len(`{"K":"key-3`):]...)
+	mismatched := []byte(`{"K":"a00f`)
+	mismatched = append(mismatched, lines[2][len(`{"K":"a003`):]...)
 	var doctored []byte
 	doctored = append(doctored, lines[0]...)
 	doctored = append(doctored, "!!not json!!\n"...)
 	doctored = append(doctored, lines[1]...)
-	doctored = append(doctored, "{\"K\":\"key-x\",\"G\":\"AAAA\"}\n"...)
+	doctored = append(doctored, "{\"K\":\"a00x\",\"G\":\"AAAA\"}\n"...)
 	doctored = append(doctored, mismatched...)
 	if err := os.WriteFile(path, doctored, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenCache(path)
+	c2, err := OpenStore(dir)
 	if err != nil {
-		t.Fatalf("OpenCache on corrupt file: %v", err)
+		t.Fatalf("OpenStore on a corrupt shard: %v", err)
 	}
 	if c2.Quarantined() != 3 {
 		t.Errorf("Quarantined = %d, want 3", c2.Quarantined())
@@ -183,12 +186,12 @@ func TestCacheQuarantinesCorruptInterior(t *testing.T) {
 	if c2.Len() != 2 {
 		t.Errorf("Len = %d, want 2 (valid entries before AND after the corruption)", c2.Len())
 	}
-	for _, k := range []string{"key-1", "key-2"} {
+	for _, k := range []string{"a001", "a002"} {
 		if _, ok := c2.Lookup(k); !ok {
 			t.Errorf("valid record %s lost to quarantine", k)
 		}
 	}
-	if _, ok := c2.Lookup("key-3"); ok {
+	if _, ok := c2.Lookup("a003"); ok {
 		t.Error("key-mismatched record should have been quarantined")
 	}
 	c2.Close()
@@ -203,13 +206,13 @@ func TestCacheQuarantinesCorruptInterior(t *testing.T) {
 	}
 	// ...and the repair is idempotent: the rewritten file reloads with
 	// nothing further to quarantine.
-	c3, err := OpenCache(path)
+	c3, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c3.Close()
 	if c3.Quarantined() != 0 || c3.Len() != 2 {
-		t.Errorf("reloaded repaired cache: Quarantined=%d Len=%d, want 0/2", c3.Quarantined(), c3.Len())
+		t.Errorf("reloaded repaired store: Quarantined=%d Len=%d, want 0/2", c3.Quarantined(), c3.Len())
 	}
 }
 

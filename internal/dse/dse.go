@@ -17,15 +17,16 @@
 //     deadlock-prone designs (e.g. the equal-channel nD-mesh mode)
 //     before a single cycle is simulated, then splits the survivors
 //     into cache hits and pending evaluations.
-//  3. Eval.Run measures one candidate on the cycle engine — a zero-load
-//     probe for latency and transport energy plus a rate ladder for the
-//     sustainable injection rate — through chipletnet.RunMany, the
-//     module root's parallel executor (internal packages spawn no
-//     goroutines; see cmd/chipletlint). Results are content-addressed:
-//     Key hashes the fully-resolved Config and evaluation parameters,
-//     and Cache persists Records as fsynced JSONL, so overlapping
-//     sweeps and re-runs skip simulation entirely and a killed
-//     exploration resumes where it stopped.
+//  3. Evaluate measures the pending candidates on the cycle engine —
+//     per candidate a zero-load probe for latency and transport energy
+//     plus a rate ladder for the sustainable injection rate — in chunks
+//     through chipletnet.RunMany, the module root's parallel executor
+//     (internal packages spawn no goroutines; see cmd/chipletlint).
+//     Results are content-addressed: Key hashes the fully-resolved
+//     Config and evaluation parameters, and Store persists Records as
+//     fsynced JSONL shards, so overlapping sweeps and re-runs skip
+//     simulation entirely and a killed exploration resumes where it
+//     stopped.
 //  4. Frontier extracts the exact Pareto frontier over (saturation
 //     rate, zero-load latency, energy) with deterministic tie-breaking;
 //     export.go emits ranked CSV/JSON reports and topoviz-compatible

@@ -182,7 +182,7 @@ func TestNewPlanRejectsEqualChannel(t *testing.T) {
 		Routings:      []string{RoutingEqualChannel},
 		Interleavings: []string{"none"},
 	}
-	cache, err := OpenCache("")
+	cache, err := OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestNewPlanAcrossGOMAXPROCS(t *testing.T) {
 		Interleavings: []string{"none", "packet"},
 	}
 	p := DefaultParams()
-	empty, err := OpenCache("")
+	empty, err := OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestNewPlanAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatalf("space too small: %d rejected, %d pending", len(seed.Rejected), len(seed.Pending))
 	}
 	// Cache every other verified candidate so the plan has hits too.
-	cache, err := OpenCache("")
+	cache, err := OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}

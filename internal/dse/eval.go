@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"chipletnet"
@@ -174,35 +175,59 @@ func (e Eval) Run() (Record, error) {
 // so daemon job deadlines and drains stop an evaluation cleanly
 // mid-batch. A completed RunCtx record is identical to Run's.
 func (e Eval) RunCtx(ctx context.Context) (Record, error) {
-	p := e.Params
-	// A non-synthetic workload source sets its own load, so the rate
-	// ladder collapses to the single run (SatRate stays 0; such
-	// candidates compare on latency, QoS and energy).
-	ladderRates := p.Rates
-	if e.Candidate.Cfg.Workload != "" {
-		ladderRates = nil
+	cfgs := e.configs()
+	results, errs := chipletnet.RunMany(ctx, cfgs)
+	if err := e.check(cfgs, errs); err != nil {
+		return Record{}, err
 	}
-	cfgs := make([]chipletnet.Config, 0, 1+len(ladderRates))
+	return e.record(results), nil
+}
+
+// ladder returns the rates the evaluation sweeps. A non-synthetic
+// workload source sets its own load, so its ladder is empty and the
+// evaluation is the single probe run (SatRate stays 0; such candidates
+// compare on latency, QoS and energy).
+func (e Eval) ladder() []float64 {
+	if e.Candidate.Cfg.Workload != "" {
+		return nil
+	}
+	return e.Params.Rates
+}
+
+// configs returns the evaluation's runs: the zero-load probe first, then
+// one run per ladder rate.
+func (e Eval) configs() []chipletnet.Config {
+	rates := e.ladder()
+	cfgs := make([]chipletnet.Config, 0, 1+len(rates))
 	zero := e.Candidate.Cfg
-	zero.InjectionRate = p.ZeroLoadRate
+	zero.InjectionRate = e.Params.ZeroLoadRate
 	if zero.Workload != "" {
 		zero.InjectionRate = 0
 	}
 	cfgs = append(cfgs, zero)
-	for _, r := range ladderRates {
+	for _, r := range rates {
 		c := e.Candidate.Cfg
 		c.InjectionRate = r
 		cfgs = append(cfgs, c)
 	}
-	results, errs := chipletnet.RunMany(ctx, cfgs)
+	return cfgs
+}
+
+// check labels each run error of cfgs with its rate and joins them.
+func (e Eval) check(cfgs []chipletnet.Config, errs []error) error {
 	for i, err := range errs {
 		if err != nil {
 			errs[i] = fmt.Errorf("rate %g: %w", cfgs[i].InjectionRate, err)
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
-		return Record{}, fmt.Errorf("dse: evaluating %s: %w", e.Candidate.Name, err)
+		return fmt.Errorf("dse: evaluating %s: %w", e.Candidate.Name, err)
 	}
+	return nil
+}
+
+// record assembles the Record from the results of configs(), in order.
+func (e Eval) record(results []chipletnet.Result) Record {
 	// A very light probe on a tiny network can deliver nothing inside the
 	// measurement window (AvgLatency NaN); fall back to the lightest
 	// ladder rate — the next-best zero-load estimate — so records stay
@@ -233,7 +258,7 @@ func (e Eval) RunCtx(ctx context.Context) (Record, error) {
 	if !math.IsNaN(probe.P99Latency) {
 		rec.P99Latency = probe.P99Latency
 	}
-	for i, r := range ladderRates {
+	for i, r := range e.ladder() {
 		res := results[1+i]
 		lat := res.AvgLatency
 		if math.IsNaN(lat) {
@@ -258,7 +283,52 @@ func (e Eval) RunCtx(ctx context.Context) (Record, error) {
 			break
 		}
 	}
-	return rec, nil
+	return rec
+}
+
+// Evaluate runs evs and stores every record in st, in chunks: a chunk
+// takes candidates in order until it holds at least GOMAXPROCS runs
+// (⌈GOMAXPROCS ÷ runs per candidate⌉ candidates for a uniform ladder) and
+// runs them as one chipletnet.RunMany batch. Every record of a chunk is
+// Put before each, if non-nil, sees the chunk's records; an error from
+// each stops the loop before the next chunk and is returned as is, as is
+// an evaluation or store error. The returned records are those of the
+// finished chunks, in evs order; they do not depend on GOMAXPROCS, which
+// only decides which runs share a batch.
+func Evaluate(ctx context.Context, evs []Eval, st *Store, each func(done []Record) error) ([]Record, error) {
+	procs := runtime.GOMAXPROCS(0)
+	var out []Record
+	for start := 0; start < len(evs); {
+		// Runs of evaluation start+i are cfgs[at[i]:at[i+1]].
+		var cfgs []chipletnet.Config
+		at := []int{0}
+		end := start
+		for end < len(evs) && len(cfgs) < procs {
+			cfgs = append(cfgs, evs[end].configs()...)
+			at = append(at, len(cfgs))
+			end++
+		}
+		results, errs := chipletnet.RunMany(ctx, cfgs)
+		n := len(out)
+		for i, ev := range evs[start:end] {
+			lo, hi := at[i], at[i+1]
+			if err := ev.check(cfgs[lo:hi], errs[lo:hi]); err != nil {
+				return out[:n], err
+			}
+			rec := ev.record(results[lo:hi])
+			if err := st.Put(rec); err != nil {
+				return out[:n], err
+			}
+			out = append(out, rec)
+		}
+		if each != nil {
+			if err := each(out[n:]); err != nil {
+				return out, err
+			}
+		}
+		start = end
+	}
+	return out, nil
 }
 
 // Plan is a resolved exploration: what was pruned, what verification
@@ -285,23 +355,13 @@ type Plan struct {
 // exhaustive while staying cheap per distinct routing structure.
 var preflightOptions = verify.Options{MaxDests: 16, MaxSources: 8}
 
-// routingKey identifies the routing-relevant part of a config: verify
-// verdicts are shared across candidates that differ only in interleave,
-// bandwidth or workload.
-func routingKey(cfg chipletnet.Config) string {
-	return fmt.Sprintf("%s%v|%dx%d|vc%d|%s|sep%v|unsafe%v",
-		cfg.Topology.Kind, cfg.Topology.Dims, cfg.ChipletW, cfg.ChipletH,
-		cfg.VCs, cfg.Routing, cfg.DisableNDMeshVCSeparation, cfg.AllowUnsafeRouting)
-}
-
 // NewPlan enumerates the space, statically verifies every feasible
 // candidate's routing (rejecting deadlock-prone designs with the
 // verifier's witness), and partitions the survivors into cache hits and
 // pending evaluations. Each distinct routing structure is analyzed once;
 // the analyses run in parallel through chipletnet.VerifyEach, and the
 // plan is independent of GOMAXPROCS. NewPlan itself runs no simulation.
-// The cache may be a single-file Cache or a ShardedCache.
-func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
+func NewPlan(s Space, p Params, cache *Store) (*Plan, error) {
 	p = p.normalize()
 	cands, pruned, err := s.Enumerate(p)
 	if err != nil {
@@ -316,10 +376,10 @@ func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
 	// Certify each distinct routing structure once, in first-seen order,
 	// as one batch on the module root's worker pool.
 	slot := make([]int, len(cands)) // candidate -> index into structs
-	first := map[string]int{}       // routingKey -> index into structs
+	first := map[string]int{}       // routing structure -> index into structs
 	var structs []chipletnet.Config
 	for i, cand := range cands {
-		rk := routingKey(cand.Cfg)
+		rk := chipletnet.RoutingStructureKey(cand.Cfg)
 		j, seen := first[rk]
 		if !seen {
 			j = len(structs)
@@ -376,28 +436,18 @@ type Outcome struct {
 	CacheHits int
 }
 
-// Explore runs the whole pipeline sequentially: plan, evaluate every
-// pending candidate (each evaluation's runs execute in parallel through
-// the module root), cache the results, and extract the frontier.
-// cmd/chipletdse replaces the sequential loop with a worker pool; the
-// records and frontier are identical either way.
-func Explore(s Space, p Params, cache Store) (*Outcome, error) {
-	plan, err := NewPlan(s, p, cache)
+// Explore runs the whole pipeline: plan, evaluate every pending
+// candidate into the store (Evaluate), and extract the frontier.
+func Explore(s Space, p Params, st *Store) (*Outcome, error) {
+	plan, err := NewPlan(s, p, st)
 	if err != nil {
 		return nil, err
 	}
-	recs := append([]Record(nil), plan.Hits...)
-	for _, e := range plan.Pending {
-		rec, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		if err := cache.Put(rec); err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
+	recs, err := Evaluate(context.TODO(), plan.Pending, st, nil)
+	if err != nil {
+		return nil, err
 	}
-	return Collect(plan, recs)
+	return Collect(plan, append(append([]Record(nil), plan.Hits...), recs...))
 }
 
 // Collect assembles an Outcome from a plan and the full record set

@@ -2,9 +2,12 @@ package dse
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -27,9 +30,9 @@ func tinySpace() (Space, Params) {
 
 func TestExploreColdThenWarm(t *testing.T) {
 	s, p := tinySpace()
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	path := filepath.Join(t.TempDir(), "cache")
 
-	cache, err := OpenCache(path)
+	cache, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestExploreColdThenWarm(t *testing.T) {
 		t.Fatal("cold run produced an empty frontier")
 	}
 
-	cache2, err := OpenCache(path)
+	cache2, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestExploreColdThenWarm(t *testing.T) {
 
 func TestWriteFiles(t *testing.T) {
 	s, p := tinySpace()
-	cache, err := OpenCache("")
+	cache, err := OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +129,88 @@ func TestWriteFiles(t *testing.T) {
 
 func TestCollectValidatesRecordCount(t *testing.T) {
 	s, p := tinySpace()
-	cache, _ := OpenCache("")
+	cache, _ := OpenStore("")
 	plan, err := NewPlan(s, p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Collect(plan, nil); err == nil && len(plan.Candidates) > 0 {
 		t.Error("Collect accepted a record set of the wrong size")
+	}
+}
+
+// TestExploreAcrossGOMAXPROCS: Evaluate's chunk size follows GOMAXPROCS
+// (one candidate per chunk at 1, both tiny candidates in one chunk at
+// 4), yet the cold report and the stored records must not change.
+func TestExploreAcrossGOMAXPROCS(t *testing.T) {
+	s, p := tinySpace()
+	reports := map[int][]byte{}
+	stored := map[int][]Record{}
+	for _, procs := range []int{1, 4} {
+		st, err := OpenStore(filepath.Join(t.TempDir(), "cache"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		o, err := Explore(s, p, st)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Simulated < 2 {
+			t.Fatalf("tiny space simulated %d candidates, want >= 2 for two chunk sizes", o.Simulated)
+		}
+		var report bytes.Buffer
+		if err := WriteReportJSON(&report, o); err != nil {
+			t.Fatal(err)
+		}
+		reports[procs], stored[procs] = report.Bytes(), st.Records()
+		st.Close()
+	}
+	if !bytes.Equal(reports[1], reports[4]) {
+		t.Error("cold JSON report depends on GOMAXPROCS")
+	}
+	if !reflect.DeepEqual(stored[1], stored[4]) {
+		t.Error("stored records depend on GOMAXPROCS")
+	}
+}
+
+// TestEvaluateStopsBetweenChunks: an error from each stops Evaluate
+// before the next chunk starts, and every record each saw is already in
+// the store.
+func TestEvaluateStopsBetweenChunks(t *testing.T) {
+	s, p := tinySpace()
+	st, err := OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(s, p, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Pending) < 2 {
+		t.Fatalf("tiny space has %d pending evaluations, want >= 2", len(plan.Pending))
+	}
+	stop := errors.New("stop")
+	var seen []Record
+	prev := runtime.GOMAXPROCS(1) // one candidate per chunk
+	recs, err := Evaluate(context.Background(), plan.Pending, st, func(done []Record) error {
+		for _, rec := range done {
+			if got, ok := st.Lookup(rec.Key); !ok || !reflect.DeepEqual(got, rec) {
+				t.Errorf("%s handed to each before it was stored", rec.Name)
+			}
+		}
+		seen = append(seen, done...)
+		return stop
+	})
+	runtime.GOMAXPROCS(prev)
+	if !errors.Is(err, stop) {
+		t.Fatalf("Evaluate returned %v, want each's error", err)
+	}
+	if len(seen) != 1 || !reflect.DeepEqual(recs, seen) {
+		t.Fatalf("each saw %d records and Evaluate returned %d, want the same single record", len(seen), len(recs))
+	}
+	if st.Len() != 1 {
+		t.Errorf("store holds %d records, want 1: a chunk started after each failed", st.Len())
 	}
 }

@@ -3,20 +3,17 @@ package dse
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 )
 
-// ShardN is the sharded cache's fan-out: one JSONL shard per first hex
-// nibble of the SHA-256 content key. Sixteen shards keep any single
-// append-only file small under parallel campaigns while the nibble →
-// file mapping stays trivially stable (the key alphabet is lowercase
-// hex, so ascending shard order is ascending key order).
+// ShardN is the store's fan-out: one JSONL shard per first hex nibble
+// of the SHA-256 content key. Sixteen shards keep any single append-only
+// file small while the nibble → file mapping stays trivially stable (the
+// key alphabet is lowercase hex, so ascending shard order is ascending
+// key order).
 const ShardN = 16
 
-// shardFile names shard i inside a sharded-cache directory.
+// shardFile names shard i inside a store directory.
 func shardFile(i int) string { return fmt.Sprintf("shard-%x.jsonl", i) }
 
 // ShardIndex maps a content key to its shard: the value of the key's
@@ -25,9 +22,7 @@ func shardFile(i int) string { return fmt.Sprintf("shard-%x.jsonl", i) }
 // work distribution: the coordinator partitions a campaign by shard, so
 // every evaluation a worker produces lands in exactly one shard file and
 // cross-machine merges never contend on a key range.
-func ShardIndex(key string) (int, error) { return shardIndex(key) }
-
-func shardIndex(key string) (int, error) {
+func ShardIndex(key string) (int, error) {
 	if key == "" {
 		return 0, fmt.Errorf("dse: empty cache key")
 	}
@@ -39,102 +34,6 @@ func shardIndex(key string) (int, error) {
 		return int(c-'a') + 10, nil
 	}
 	return 0, fmt.Errorf("dse: cache key %.12s is not hex", key)
-}
-
-// ShardedCache is the content-addressed evaluation store sharded by key
-// prefix: a directory of ShardN append-only JSONL files, each with the
-// single-file Cache's durability and self-healing guarantees. Sharding
-// bounds per-file size and write contention under the campaign daemon's
-// worker pool, and gives parallel machines a natural unit to exchange:
-// Merge unions independently populated sharded caches into one.
-//
-// ShardedCache is safe for concurrent use.
-type ShardedCache struct {
-	dir    string
-	shards [ShardN]*Cache
-}
-
-// OpenShardedCache opens (creating if needed) the sharded cache rooted
-// at dir, loading and healing every shard.
-func OpenShardedCache(dir string) (*ShardedCache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("dse: sharded cache requires a directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dse: sharded cache: %w", err)
-	}
-	s := &ShardedCache{dir: dir}
-	for i := range s.shards {
-		c, err := OpenCache(filepath.Join(dir, shardFile(i)))
-		if err != nil {
-			s.Close() // release the shards already opened
-			return nil, err
-		}
-		s.shards[i] = c
-	}
-	return s, nil
-}
-
-// Dir returns the cache's root directory.
-func (s *ShardedCache) Dir() string { return s.dir }
-
-// Lookup returns the cached record for key.
-func (s *ShardedCache) Lookup(key string) (Record, bool) {
-	i, err := shardIndex(key)
-	if err != nil {
-		return Record{}, false
-	}
-	return s.shards[i].Lookup(key)
-}
-
-// Put stores rec in its key's shard, durably before returning.
-func (s *ShardedCache) Put(rec Record) error {
-	i, err := shardIndex(rec.Key)
-	if err != nil {
-		return err
-	}
-	return s.shards[i].Put(rec)
-}
-
-// Records returns every cached record in ascending key order. Shards
-// partition the key space by first hex digit in file order, so the
-// shard-by-shard concatenation is already globally sorted.
-func (s *ShardedCache) Records() []Record {
-	var out []Record
-	for _, c := range s.shards {
-		out = append(out, c.Records()...)
-	}
-	return out
-}
-
-// Len returns the number of cached records across all shards.
-func (s *ShardedCache) Len() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.Len()
-	}
-	return n
-}
-
-// Quarantined returns how many corrupt lines the open moved to .rej
-// sidecars across all shards.
-func (s *ShardedCache) Quarantined() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.Quarantined()
-	}
-	return n
-}
-
-// Close closes every shard, joining any errors.
-func (s *ShardedCache) Close() error {
-	var errs []error
-	for _, c := range s.shards {
-		if c != nil {
-			errs = append(errs, c.Close())
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // ErrConflict reports that a merge found two content-distinct records at
@@ -151,11 +50,11 @@ var ErrConflict = errors.New("dse: merge conflict")
 // content conflict means one side is lying and aborts the merge with an
 // error naming the key. Returns the number of records newly added.
 //
-// Merging two independently populated caches and re-running the
+// Merging two independently populated stores and re-running the
 // exploration against the union yields reports byte-identical to a
 // single-machine run — the property the daemon's distributed campaigns
 // rest on.
-func Merge(dst Store, srcs ...Store) (added int, err error) {
+func Merge(dst *Store, srcs ...*Store) (added int, err error) {
 	for si, src := range srcs {
 		for _, rec := range src.Records() {
 			prev, ok := dst.Lookup(rec.Key)
@@ -172,21 +71,4 @@ func Merge(dst Store, srcs ...Store) (added int, err error) {
 		}
 	}
 	return added, nil
-}
-
-// OpenStore opens the evaluation store at path by shape: an empty path
-// is a memory-only cache, an existing directory (or a path with a
-// trailing separator) is a sharded cache, and anything else is a
-// single-file JSONL cache.
-func OpenStore(path string) (Store, error) {
-	if path == "" {
-		return OpenCache("")
-	}
-	if strings.HasSuffix(path, "/") || strings.HasSuffix(path, string(os.PathSeparator)) {
-		return OpenShardedCache(path)
-	}
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return OpenShardedCache(path)
-	}
-	return OpenCache(path)
 }

@@ -2,11 +2,13 @@ package dse
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -15,21 +17,21 @@ func TestShardIndex(t *testing.T) {
 		"0abc": 0, "9ff": 9, "a00": 10, "f123": 15,
 	}
 	for key, want := range cases {
-		got, err := shardIndex(key)
+		got, err := ShardIndex(key)
 		if err != nil || got != want {
-			t.Errorf("shardIndex(%q) = %d, %v; want %d", key, got, err, want)
+			t.Errorf("ShardIndex(%q) = %d, %v; want %d", key, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "G123", "zzz", "-1"} {
-		if _, err := shardIndex(bad); err == nil {
-			t.Errorf("shardIndex(%q) accepted a non-hex key", bad)
+		if _, err := ShardIndex(bad); err == nil {
+			t.Errorf("ShardIndex(%q) accepted a non-hex key", bad)
 		}
 	}
 }
 
 func TestShardedCacheRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	s, err := OpenShardedCache(dir)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestShardedCacheRoundTrip(t *testing.T) {
 		}
 	}
 
-	s2, err := OpenShardedCache(dir)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestShardedCacheRoundTrip(t *testing.T) {
 
 func TestShardedCacheSelfHeals(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	s, err := OpenShardedCache(dir)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestShardedCacheSelfHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenShardedCache(dir)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +124,9 @@ func TestShardedCacheSelfHeals(t *testing.T) {
 }
 
 func TestMergeDeduplicatesAndDetectsConflicts(t *testing.T) {
-	a, _ := OpenCache("")
-	b, _ := OpenCache("")
-	dst, _ := OpenCache("")
+	a, _ := OpenStore("")
+	b, _ := OpenStore("")
+	dst, _ := OpenStore("")
 	a.Put(testRecord("a1", "one"))
 	a.Put(testRecord("b2", "two"))
 	b.Put(testRecord("b2", "two")) // identical duplicate: fine
@@ -141,7 +143,7 @@ func TestMergeDeduplicatesAndDetectsConflicts(t *testing.T) {
 	// A content conflict on a shared key aborts: two machines that
 	// produced different records for one content address cannot both be
 	// right.
-	lying, _ := OpenCache("")
+	lying, _ := OpenStore("")
 	conflicting := testRecord("c3", "three")
 	conflicting.SatRate = 0.99
 	lying.Put(conflicting)
@@ -152,7 +154,7 @@ func TestMergeDeduplicatesAndDetectsConflicts(t *testing.T) {
 
 // TestMergedShardsReproduceSingleMachineReport is the distribution
 // acceptance criterion: two machines each evaluate half the design
-// space into their own sharded caches; merging the halves and re-running
+// space into their own stores; merging the halves and re-running
 // the full exploration simulates nothing and writes a frontier report
 // byte-identical to a cold single-machine run.
 func TestMergedShardsReproduceSingleMachineReport(t *testing.T) {
@@ -160,7 +162,7 @@ func TestMergedShardsReproduceSingleMachineReport(t *testing.T) {
 	base := t.TempDir()
 
 	// Reference: one machine, one cold run.
-	solo, err := OpenShardedCache(filepath.Join(base, "solo"))
+	solo, err := OpenStore(filepath.Join(base, "solo"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +180,12 @@ func TestMergedShardsReproduceSingleMachineReport(t *testing.T) {
 	}
 
 	// Two machines: split the pending evaluations between independent
-	// sharded caches.
-	hostA, err := OpenShardedCache(filepath.Join(base, "hostA"))
+	// stores.
+	hostA, err := OpenStore(filepath.Join(base, "hostA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostB, err := OpenShardedCache(filepath.Join(base, "hostB"))
+	hostB, err := OpenStore(filepath.Join(base, "hostB"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,17 +209,17 @@ func TestMergedShardsReproduceSingleMachineReport(t *testing.T) {
 	hostA.Close()
 	hostB.Close()
 
-	// Merge both halves into a fresh sharded cache.
-	merged, err := OpenShardedCache(filepath.Join(base, "merged"))
+	// Merge both halves into a fresh store.
+	merged, err := OpenStore(filepath.Join(base, "merged"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer merged.Close()
-	srcA, err := OpenShardedCache(filepath.Join(base, "hostA"))
+	srcA, err := OpenStore(filepath.Join(base, "hostA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcB, err := OpenShardedCache(filepath.Join(base, "hostB"))
+	srcB, err := OpenStore(filepath.Join(base, "hostB"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +257,10 @@ func TestMergedShardsReproduceSingleMachineReport(t *testing.T) {
 	}
 }
 
+// TestOpenStoreShapes: every non-empty path is a store directory, with
+// or without a trailing separator; "" is memory-only; a regular file (a
+// single-file cache from before the store was sharded) is refused with
+// ErrSingleFile and the migration command.
 func TestOpenStoreShapes(t *testing.T) {
 	base := t.TempDir()
 
@@ -262,38 +268,39 @@ func TestOpenStoreShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mem.(*Cache); !ok {
-		t.Errorf("OpenStore(\"\") = %T, want in-memory *Cache", mem)
+	if err := mem.Put(testRecord("0a", "n")); err != nil {
+		t.Fatal(err)
 	}
 	mem.Close()
+	if entries, _ := os.ReadDir(base); len(entries) != 0 {
+		t.Errorf("memory-only store wrote %d files", len(entries))
+	}
 
-	file, err := OpenStore(filepath.Join(base, "cache.jsonl"))
-	if err != nil {
+	for _, path := range []string{filepath.Join(base, "plain"), filepath.Join(base, "slashed") + string(os.PathSeparator)} {
+		st, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(testRecord("0a", "n")); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if _, err := os.Stat(filepath.Join(path, shardFile(0))); err != nil {
+			t.Errorf("OpenStore(%q) wrote no shard file: %v", path, err)
+		}
+	}
+
+	file := filepath.Join(base, "cache.jsonl")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := file.(*Cache); !ok {
-		t.Errorf("OpenStore(file) = %T, want *Cache", file)
+	for _, path := range []string{file, file + string(os.PathSeparator)} {
+		_, err := OpenStore(path)
+		if !errors.Is(err, ErrSingleFile) {
+			t.Fatalf("OpenStore(%q) = %v, want ErrSingleFile", path, err)
+		}
+		if !strings.Contains(err.Error(), "chipletdse -cache DIR/ -merge") {
+			t.Errorf("ErrSingleFile names no migration command: %v", err)
+		}
 	}
-	file.Close()
-
-	// A trailing separator asks for sharding even before the directory
-	// exists.
-	sharded, err := OpenStore(filepath.Join(base, "shards") + string(os.PathSeparator))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sharded.(*ShardedCache); !ok {
-		t.Errorf("OpenStore(dir/) = %T, want *ShardedCache", sharded)
-	}
-	sharded.Close()
-
-	// An existing directory is recognized without the separator.
-	again, err := OpenStore(filepath.Join(base, "shards"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := again.(*ShardedCache); !ok {
-		t.Errorf("OpenStore(existing dir) = %T, want *ShardedCache", again)
-	}
-	again.Close()
 }

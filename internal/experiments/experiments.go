@@ -77,9 +77,9 @@ func baseConfig(s Scale) chipletnet.Config {
 	return cfg
 }
 
-// preflightCache memoizes pre-flight verdicts per routing-relevant
-// configuration, so a rate sweep over one design point pays for one
-// analysis.
+// preflightCache memoizes pre-flight verdicts per routing structure
+// (chipletnet.RoutingStructureKey), so a rate sweep over one design
+// point pays for one analysis.
 var preflightCache sync.Map // key string -> error (possibly nil)
 
 // preflightAll statically verifies each design point's routing before any
@@ -94,10 +94,7 @@ func preflightAll(cfgs []chipletnet.Config) []error {
 	var todoKeys []string
 	queued := map[string]bool{}
 	for i, cfg := range cfgs {
-		keys[i] = fmt.Sprintf("%s%v|%dx%d|vc%d|%s|sep%v|unsafe%v|fault%g|seed%d",
-			cfg.Topology.Kind, cfg.Topology.Dims, cfg.ChipletW, cfg.ChipletH,
-			cfg.VCs, cfg.Routing, cfg.DisableNDMeshVCSeparation,
-			cfg.AllowUnsafeRouting, cfg.CrossLinkFaultFraction, cfg.Seed)
+		keys[i] = chipletnet.RoutingStructureKey(cfg)
 		if _, ok := preflightCache.Load(keys[i]); !ok && !queued[keys[i]] {
 			queued[keys[i]] = true
 			todo = append(todo, cfg)

@@ -126,7 +126,7 @@ type shardState struct {
 type campaign struct {
 	id        string
 	params    dse.Params
-	store     dse.Store
+	store     *dse.Store
 	shards    [dse.ShardN]shardState
 	total     int // pending evaluations at start
 	simulated int // freshly simulated (vs served from worker caches)
@@ -296,7 +296,7 @@ func (c *Coordinator) Close() error { return c.jlog.Close() }
 // the evaluations the fleet actually ran (the rest were worker-local
 // cache hits). id must be stable across restarts — the job ID — because
 // it keys the journaled lease state a restarted coordinator adopts.
-func (c *Coordinator) RunCampaign(ctx context.Context, id string, plan *dse.Plan, store dse.Store, progress func(done, total int)) ([]dse.Record, int, error) {
+func (c *Coordinator) RunCampaign(ctx context.Context, id string, plan *dse.Plan, store *dse.Store, progress func(done, total int)) ([]dse.Record, int, error) {
 	if progress == nil {
 		progress = func(int, int) {}
 	}
@@ -613,7 +613,7 @@ func (c *Coordinator) fold(worker, campaignID string, shard, lease int, deltas [
 	// heartbeat or work handling toward the lease TTL. foldMu keeps the
 	// lookup-before-merge window atomic per campaign, which is what
 	// makes the fresh-simulation ledger exact under redelivery.
-	batch, err := dse.OpenCache("")
+	batch, err := dse.OpenStore("")
 	if err != nil {
 		return 0, false, err
 	}

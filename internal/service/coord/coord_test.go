@@ -46,16 +46,16 @@ func openCoord(t *testing.T, dir string, cfg Config) *Coordinator {
 	return c
 }
 
-func memStore(t *testing.T) dse.Store {
+func memStore(t *testing.T) *dse.Store {
 	t.Helper()
-	s, err := dse.OpenCache("")
+	s, err := dse.OpenStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func mustPlan(t *testing.T, store dse.Store) *dse.Plan {
+func mustPlan(t *testing.T, store *dse.Store) *dse.Plan {
 	t.Helper()
 	space, params := testSpace()
 	plan, err := dse.NewPlan(space, params, store)
@@ -85,7 +85,7 @@ type campaignResult struct {
 	err       error
 }
 
-func startCampaign(t *testing.T, ctx context.Context, c *Coordinator, id string, plan *dse.Plan, store dse.Store) <-chan campaignResult {
+func startCampaign(t *testing.T, ctx context.Context, c *Coordinator, id string, plan *dse.Plan, store *dse.Store) <-chan campaignResult {
 	t.Helper()
 	ch := make(chan campaignResult, 1)
 	go func() {

@@ -32,8 +32,8 @@ type WorkerConfig struct {
 	// Cache is the worker-local evaluation store: hits are shipped back
 	// without re-simulation, fresh records are persisted locally before
 	// they are reported, so a crash loses no finished work. nil means a
-	// memory-only cache.
-	Cache dse.Store
+	// memory-only store.
+	Cache *dse.Store
 	// Heartbeat is the beat interval (default 1s; keep it well inside
 	// the coordinator's TTL).
 	Heartbeat time.Duration
@@ -106,7 +106,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		return errors.New("coord: WorkerConfig.Join is required")
 	}
 	if cfg.Cache == nil {
-		mem, err := dse.OpenCache("")
+		mem, err := dse.OpenStore("")
 		if err != nil {
 			return err
 		}
@@ -204,11 +204,16 @@ func (w *worker) heartbeatLoop(ctx context.Context, out chan<- Assignment) {
 	}
 }
 
+// errAbandoned stops runShard's evaluation loop after a delta flush
+// failed or the lease was revoked.
+var errAbandoned = errors.New("coord: shard abandoned")
+
 // runShard drains one leased shard: fetch the remaining evaluations,
-// serve each from the local cache or simulate it, and stream delta
-// batches back. Any terminal trouble — revocation, a conflict, an
-// evaluation failure — abandons the shard and lets the lease TTL hand
-// the remainder to a healthier worker.
+// check every item's key, send the local-cache hits, then simulate the
+// rest with dse.Evaluate and stream each finished chunk back as delta
+// batches. Any terminal trouble — revocation, a conflict, a key
+// mismatch, an evaluation failure — abandons the shard and lets the
+// lease TTL hand the remainder to a healthier worker.
 func (w *worker) runShard(ctx context.Context, a Assignment) {
 	// Settled either way: stop echoing the lease, so an abandoned shard
 	// expires by TTL instead of staying leased to this worker forever.
@@ -217,6 +222,16 @@ func (w *worker) runShard(ctx context.Context, a Assignment) {
 	var work workResponse
 	if !w.postRetry(ctx, "work", req, &work) || work.Revoked {
 		return
+	}
+	// Re-derive every content address before trusting any: a worker must
+	// never persist under a key it cannot reproduce, or one corrupted
+	// message poisons the shared cache behind a valid-looking address.
+	for _, item := range work.Items {
+		if dse.Key(item.Candidate.Cfg, work.Params) != item.Key {
+			w.cfg.Logf("worker %s: campaign %s shard %x: key mismatch for %s; abandoning shard",
+				w.cfg.ID, a.Campaign, a.Shard, item.Candidate.Name)
+			return
+		}
 	}
 	batch := make([]DeltaRecord, 0, w.cfg.BatchSize)
 	flush := func() bool {
@@ -234,38 +249,33 @@ func (w *worker) runShard(ctx context.Context, a Assignment) {
 		batch = batch[:0]
 		return ok && !resp.Revoked
 	}
+	send := func(rec dse.Record, simulated bool) bool {
+		batch = append(batch, DeltaRecord{Record: rec, Simulated: simulated})
+		return len(batch) < w.cfg.BatchSize || flush()
+	}
+	var pending []dse.Eval
 	for _, item := range work.Items {
-		if ctx.Err() != nil {
-			return
-		}
-		// Re-derive the content address before trusting it: a worker must
-		// never persist under a key it cannot reproduce, or one corrupted
-		// message poisons the shared cache behind a valid-looking address.
-		if dse.Key(item.Candidate.Cfg, work.Params) != item.Key {
-			w.cfg.Logf("worker %s: campaign %s shard %x: key mismatch for %s; abandoning shard",
-				w.cfg.ID, a.Campaign, a.Shard, item.Candidate.Name)
-			return
-		}
-		rec, hit := w.cfg.Cache.Lookup(item.Key)
-		if !hit {
-			ev := dse.Eval{Candidate: item.Candidate, Params: work.Params, Key: item.Key, Cert: item.Cert}
-			var err error
-			rec, err = ev.RunCtx(ctx)
-			if err != nil {
-				if ctx.Err() == nil {
-					w.cfg.Logf("worker %s: evaluating %s: %v; abandoning shard", w.cfg.ID, item.Candidate.Name, err)
-				}
+		if rec, hit := w.cfg.Cache.Lookup(item.Key); hit {
+			if !send(rec, false) {
 				return
 			}
-			if err := w.cfg.Cache.Put(rec); err != nil {
-				w.cfg.Logf("worker %s: caching %s: %v; abandoning shard", w.cfg.ID, item.Candidate.Name, err)
-				return
+			continue
+		}
+		pending = append(pending, dse.Eval{Candidate: item.Candidate, Params: work.Params, Key: item.Key, Cert: item.Cert})
+	}
+	_, err := dse.Evaluate(ctx, pending, w.cfg.Cache, func(done []dse.Record) error {
+		for _, rec := range done {
+			if !send(rec, true) {
+				return errAbandoned
 			}
 		}
-		batch = append(batch, DeltaRecord{Record: rec, Simulated: !hit})
-		if len(batch) >= w.cfg.BatchSize && !flush() {
-			return
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, errAbandoned) && ctx.Err() == nil {
+			w.cfg.Logf("worker %s: campaign %s shard %x: %v; abandoning shard", w.cfg.ID, a.Campaign, a.Shard, err)
 		}
+		return
 	}
 	flush()
 }

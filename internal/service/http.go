@@ -37,10 +37,8 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeJobSpec(r.Body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -106,6 +104,16 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	fmt.Fprintf(w, "chipletd_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "chipletd_retries_total %d\n", retries)
+}
+
+// decodeJobSpec reads one submitted JobSpec, refusing unknown fields so a
+// misspelled field name fails loudly instead of being silently dropped.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // statusFor maps service errors to HTTP status codes.

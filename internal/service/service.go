@@ -15,14 +15,14 @@
 //     internal/checkpoint (RunControl.CheckpointEvery) and resume from
 //     their snapshot bit-identically.
 //   - DSE jobs write every finished candidate evaluation to the sharded
-//     content-addressed cache (dse.ShardedCache); after a crash the
-//     journaled-done work is served 100% from cache and only the
+//     content-addressed evaluation store (dse.Store); after a crash the
+//     journaled-done work is served 100% from the store and only the
 //     unfinished candidates simulate again.
 //
 // Graceful drain (SIGTERM in cmd/chipletd) stops intake, interrupts
 // in-flight work at the next safe point — simulate jobs snapshot a
-// checkpoint, DSE jobs finish their current candidate — requeues it, and
-// returns with the queue fully persisted.
+// checkpoint, DSE jobs finish their current chunk of candidates —
+// requeues it, and returns with the queue fully persisted.
 //
 // This package is the process layer, not the simulator: it owns
 // goroutines, wall-clock deadlines and timers, and is therefore exempt
@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,27 +83,44 @@ type JobSpec struct {
 	Retries int `json:",omitempty"`
 }
 
-// Validate checks that the spec names a job type and carries the fields
-// that type needs.
+// Validate checks that the spec names a job type and carries valid
+// fields for it: a Config that passes Config.Validate, finite
+// non-negative rates, a Space that normalizes. A spec that fails would
+// fail every retry, so Submit refuses it before it is journaled.
 func (sp JobSpec) Validate() error {
 	switch sp.Type {
-	case JobSimulate:
+	case JobSimulate, JobSweep:
 		if sp.Config == nil {
-			return errors.New("service: simulate job needs a Config")
+			return fmt.Errorf("service: %s job needs a Config", sp.Type)
 		}
-	case JobSweep:
-		if sp.Config == nil {
-			return errors.New("service: sweep job needs a Config")
+		if err := sp.Config.Validate(); err != nil {
+			return fmt.Errorf("service: %s job: %w", sp.Type, err)
 		}
-		if len(sp.Rates) == 0 {
+		if sp.Type == JobSweep && len(sp.Rates) == 0 {
 			return errors.New("service: sweep job needs Rates")
 		}
+		return checkRates(append([]float64{sp.Config.InjectionRate}, sp.Rates...))
 	case JobDSE:
 		if sp.Space == nil {
 			return errors.New("service: dse job needs a Space")
 		}
-	default:
-		return fmt.Errorf("service: unknown job type %q", sp.Type)
+		if _, err := sp.Space.Normalize(); err != nil {
+			return fmt.Errorf("service: dse job: %w", err)
+		}
+		if p := sp.Params; p != nil {
+			return checkRates(append([]float64{p.ZeroLoadRate}, p.Rates...))
+		}
+		return nil
+	}
+	return fmt.Errorf("service: unknown job type %q", sp.Type)
+}
+
+// checkRates rejects a negative, NaN or infinite injection rate.
+func checkRates(rates []float64) error {
+	for _, r := range rates {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("service: injection rate %g is not finite and non-negative", r)
+		}
 	}
 	return nil
 }
@@ -210,7 +228,7 @@ type Server struct {
 	cfg   Config
 	logf  func(string, ...any)
 	jlog  *jobLog
-	cache *dse.ShardedCache
+	cache *dse.Store
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -255,7 +273,7 @@ func Open(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
-	cache, err := dse.OpenShardedCache(filepath.Join(cfg.Dir, "cache"))
+	cache, err := dse.OpenStore(filepath.Join(cfg.Dir, "cache"))
 	if err != nil {
 		return nil, err
 	}
@@ -356,9 +374,9 @@ func (s *Server) replay(events []jobEvent) []string {
 	return pending
 }
 
-// Cache exposes the server's sharded evaluation cache (tests and the
-// merge tooling read it).
-func (s *Server) Cache() *dse.ShardedCache { return s.cache }
+// Cache exposes the server's evaluation store (tests and the merge
+// tooling read it).
+func (s *Server) Cache() *dse.Store { return s.cache }
 
 // Submit validates, journals and enqueues a job, returning its assigned
 // ID. The job is durably queued before Submit returns: a crash
@@ -457,8 +475,8 @@ func (s *Server) Draining() bool {
 
 // Drain stops intake, interrupts in-flight jobs at their next safe point
 // (simulate jobs snapshot a checkpoint, DSE jobs finish the current
-// candidate evaluation), requeues them durably, and waits for the worker
-// pool to exit. Idempotent.
+// chunk of candidate evaluations), requeues them durably, and waits for
+// the worker pool to exit. Idempotent.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	already := s.defunct
@@ -711,10 +729,11 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (json.RawMessage, e
 	return json.Marshal(SweepResult{Rates: rates, Results: results})
 }
 
-// executeDSE plans and evaluates an exploration. Every finished
-// candidate lands in the sharded cache before the next begins, so a
-// crash or drain loses at most one in-flight evaluation and a resumed
-// job serves the journaled-done work entirely from cache.
+// executeDSE plans and evaluates an exploration through dse.Evaluate.
+// Every finished chunk of candidates lands in the store before the next
+// begins, so a crash loses at most the chunk in flight, a drain finishes
+// the current chunk and requeues, and a resumed job serves the finished
+// work entirely from the store.
 func (s *Server) executeDSE(ctx context.Context, job *Job) (json.RawMessage, error) {
 	params := dse.DefaultParams()
 	if job.Spec.Params != nil {
@@ -730,30 +749,22 @@ func (s *Server) executeDSE(ctx context.Context, job *Job) (json.RawMessage, err
 	if s.cfg.Coordinator != nil && len(plan.Pending) > 0 {
 		return s.executeDSECoordinated(ctx, job, plan)
 	}
-	recs := append([]dse.Record(nil), plan.Hits...)
-	for i, ev := range plan.Pending {
-		select {
-		case <-s.drainCh:
-			return nil, errDrained
-		default:
+	done := len(plan.Hits)
+	recs, err := dse.Evaluate(ctx, plan.Pending, s.cache, func(chunk []dse.Record) error {
+		done += len(chunk)
+		s.setProgress(job, done, total)
+		if s.Draining() {
+			return errDrained
 		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
-		}
-		rec, err := ev.RunCtx(ctx)
-		if err != nil {
-			if errors.Is(err, chipletnet.ErrCanceled) && ctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
-			}
-			return nil, err
-		}
-		if err := s.cache.Put(rec); err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-		s.setProgress(job, len(plan.Hits)+i+1, total)
+		return nil
+	})
+	switch {
+	case errors.Is(err, chipletnet.ErrCanceled) && ctx.Err() != nil:
+		return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
+	case err != nil:
+		return nil, err
 	}
-	return dseResult(plan, recs, len(plan.Pending))
+	return dseResult(plan, append(append([]dse.Record(nil), plan.Hits...), recs...), len(plan.Pending))
 }
 
 // executeDSECoordinated fans plan.Pending out across the coordinator's

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -92,20 +94,89 @@ func waitStatus(t *testing.T, s *Server, id string, want ...JobStatus) Job {
 	return Job{}
 }
 
+// TestSubmitValidation: a spec that would fail every attempt is refused
+// at Submit, before it is journaled; the specs the other tests run pass.
 func TestSubmitValidation(t *testing.T) {
 	s := openTestServer(t, Config{Dir: t.TempDir()})
-	bad := []JobSpec{
-		{},
-		{Type: "mystery"},
-		{Type: JobSimulate},
-		{Type: JobSweep, Config: ptr(quickConfig())},
-		{Type: JobDSE},
+	with := func(edit func(*chipletnet.Config)) *chipletnet.Config {
+		cfg := quickConfig()
+		edit(&cfg)
+		return &cfg
 	}
-	for _, spec := range bad {
+	dse := func(edit func(*JobSpec)) JobSpec {
+		spec := tinySpec()
+		space, params := *spec.Space, *spec.Params
+		spec.Space, spec.Params = &space, &params
+		edit(&spec)
+		return spec
+	}
+	bad := map[string]JobSpec{
+		"empty":                 {},
+		"unknown type":          {Type: "mystery"},
+		"simulate no config":    {Type: JobSimulate},
+		"sweep no rates":        {Type: JobSweep, Config: ptr(quickConfig())},
+		"dse no space":          {Type: JobDSE},
+		"simulate 2x2 noc":      {Type: JobSimulate, Config: with(func(c *chipletnet.Config) { c.ChipletW = 2 })},
+		"simulate 1-d mesh":     {Type: JobSimulate, Config: with(func(c *chipletnet.Config) { c.Topology.Dims = []int{7} })},
+		"simulate bad routing":  {Type: JobSimulate, Config: with(func(c *chipletnet.Config) { c.Routing = "xy" })},
+		"simulate NaN rate":     {Type: JobSimulate, Config: with(func(c *chipletnet.Config) { c.InjectionRate = math.NaN() })},
+		"simulate no cycles":    {Type: JobSimulate, Config: with(func(c *chipletnet.Config) { c.MeasureCycles = 0 })},
+		"sweep bad config":      {Type: JobSweep, Config: with(func(c *chipletnet.Config) { c.Interleave = "byte" }), Rates: []float64{0.1}},
+		"sweep negative rate":   {Type: JobSweep, Config: ptr(quickConfig()), Rates: []float64{0.1, -0.2}},
+		"sweep NaN rate":        {Type: JobSweep, Config: ptr(quickConfig()), Rates: []float64{math.NaN()}},
+		"sweep infinite rate":   {Type: JobSweep, Config: ptr(quickConfig()), Rates: []float64{math.Inf(1)}},
+		"dse one chiplet":       dse(func(sp *JobSpec) { sp.Space.Chiplets = 1 }),
+		"dse unknown topology":  dse(func(sp *JobSpec) { sp.Space.Topologies = []string{"torus"} }),
+		"dse unknown routing":   dse(func(sp *JobSpec) { sp.Space.Routings = []string{"xy"} }),
+		"dse tiny noc":          dse(func(sp *JobSpec) { sp.Space.NoCs = [][2]int{{2, 3}} }),
+		"dse negative rate":     dse(func(sp *JobSpec) { sp.Params.Rates = []float64{-0.1} }),
+		"dse NaN zero-load":     dse(func(sp *JobSpec) { sp.Params.ZeroLoadRate = math.NaN() }),
+		"dse bad workload spec": dse(func(sp *JobSpec) { sp.Space.Workloads = []string{"nonsense"} }),
+	}
+	for name, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
-			t.Errorf("Submit(%+v) accepted an invalid spec", spec.Type)
+			t.Errorf("%s: Submit accepted an invalid spec", name)
 		}
 	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("%d rejected specs were queued", n)
+	}
+	good := []JobSpec{
+		{Type: JobSimulate, Config: ptr(quickConfig())},
+		{Type: JobSweep, Config: ptr(quickConfig()), Rates: []float64{0, 0.1}},
+		tinySpec(),
+		{Type: JobDSE, Space: tinySpec().Space},
+	}
+	for _, spec := range good {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate(%s spec) = %v, want nil", spec.Type, err)
+		}
+	}
+}
+
+// FuzzJobSpec: any request body, decoded the way POST /jobs decodes it
+// and then validated, yields an error or a valid spec — never a panic.
+func FuzzJobSpec(f *testing.F) {
+	for _, spec := range []JobSpec{
+		{Type: JobSimulate, Config: ptr(quickConfig())},
+		{Type: JobSweep, Config: ptr(quickConfig()), Rates: []float64{0.1, 0.3}},
+		tinySpec(),
+	} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+	}
+	f.Add([]byte(`{"Type":"dse","Space":{"Chiplets":4},"Routing":"mfr"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		_ = spec.Validate()
+	})
 }
 
 func ptr[T any](v T) *T { return &v }
@@ -250,7 +321,7 @@ func TestJobDeadlineFails(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	bad := quickConfig()
-	bad.Topology = chipletnet.Topology{Kind: "mesh", Dims: []int{7}} // build-time error
+	bad.Workload = "replay:" + filepath.Join(t.TempDir(), "missing.trace") // run-time error
 	s := openTestServer(t, Config{Dir: t.TempDir(), Retries: 2})
 	job, err := s.Submit(JobSpec{Type: JobSimulate, Config: &bad})
 	if err != nil {

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"fmt"
 	"runtime"
 
 	"chipletnet/internal/verify"
@@ -36,6 +37,17 @@ func VerifyConfig(cfg Config, opt verify.Options) (*verify.Report, error) {
 		return nil, err
 	}
 	return sys.VerifyRouting(opt), nil
+}
+
+// RoutingStructureKey identifies what the routing certifier looks at in
+// cfg — topology, chiplet NoC, VCs, routing mode and its safety switches,
+// and the cross-link faults with the seed that picks them — so design
+// points with equal keys need one analysis between them.
+func RoutingStructureKey(cfg Config) string {
+	return fmt.Sprintf("%s%v|%dx%d|vc%d|%s|sep%v|unsafe%v|fault%g|seed%d",
+		cfg.Topology.Kind, cfg.Topology.Dims, cfg.ChipletW, cfg.ChipletH,
+		cfg.VCs, cfg.Routing, cfg.DisableNDMeshVCSeparation,
+		cfg.AllowUnsafeRouting, cfg.CrossLinkFaultFraction, cfg.Seed)
 }
 
 // VerifyEach builds and statically verifies every configuration on the
