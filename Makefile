@@ -27,8 +27,9 @@ lint:
 # matrix under the race detector: bit-identical resume across topologies
 # and fault schedules, typed rejection of damaged snapshot files, the
 # cross-GOMAXPROCS determinism golden test, the checkpoint fuzz seed
-# corpus, the campaign journal, the campaign supervisor, and the run
-# pool's positional results (kept when one configuration fails).
+# corpus, the campaign journal, chipletfig's campaign loop (resume,
+# panic isolation, memory-only journal), and the run pool's positional
+# results (kept when one configuration fails).
 test-checkpoint:
 	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|RunManyKeeps|RunManyOrders' .
 	$(GO) test -race -run FuzzCheckpointRoundTrip .

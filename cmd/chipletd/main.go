@@ -87,7 +87,7 @@ func run(args []string) int {
 	workerMode := fs.Bool("worker", false, "join a coordinator as a worker (requires -join)")
 	join := fs.String("join", "", "coordinator base URL to join (http://host:port)")
 	workerID := fs.String("worker-id", "", "worker: fleet-unique ID (default: hostname/listen-address)")
-	heartbeat := fs.Duration("heartbeat", time.Second, "worker heartbeat interval (keep well inside the coordinator's TTL)")
+	heartbeat := fs.Duration("heartbeat", time.Second, "worker heartbeat interval (at most; a worker beats at a third of the coordinator's TTL when that is shorter)")
 	heartbeatTTL := fs.Duration("heartbeat-ttl", 10*time.Second, "coordinator: lease/liveness TTL after a worker's last heartbeat")
 	grace := fs.Duration("grace", time.Minute, "coordinator: how long a campaign survives a fully-dead fleet before degrading")
 	if fs.Parse(args) != nil {

@@ -3,147 +3,67 @@ package main
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"chipletnet/internal/experiments"
-	"chipletnet/internal/service/backoff"
 )
 
-// campaignConfig tunes the crash-safe campaign supervisor.
-type campaignConfig struct {
-	Workers int           // concurrent tasks
-	Timeout time.Duration // per-attempt wall-clock limit (0 = none)
-	Retries int           // extra attempts after a failure
-	// Backoff before retry k is BackoffBase << (k-1), capped at
-	// BackoffCap (backoff.Policy's schedule).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	Logf        func(format string, args ...any)
-}
-
-// attemptOutcome is what one isolated attempt of one task produced.
-type attemptOutcome struct {
-	pts []experiments.Point
-	err error
-}
-
-// runAttempt executes task.Run once in its own goroutine, translating a
-// panic into an error and abandoning the goroutine if it outlives the
-// timeout. Go cannot kill a runaway goroutine, so a timed-out attempt
-// keeps burning its CPU until it finishes on its own — the supervisor
-// merely stops waiting, journals the failure, and moves on; the
-// buffered channel lets the straggler exit when it eventually returns.
-func runAttempt(task experiments.Task, timeout time.Duration) attemptOutcome {
-	ch := make(chan attemptOutcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- attemptOutcome{err: fmt.Errorf("panic: %v", p)}
-			}
-		}()
-		pts, err := task.Run()
-		ch <- attemptOutcome{pts: pts, err: err}
-	}()
-	if timeout <= 0 {
-		return <-ch
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out
-	case <-timer.C:
-		return attemptOutcome{err: fmt.Errorf("timed out after %v (attempt abandoned)", timeout)}
-	}
-}
-
-// runCampaign drives the tasks through a worker pool with per-attempt
-// timeouts, panic isolation and capped-backoff retries, journaling every
-// outcome so a killed campaign resumes where it stopped. It returns the
-// points of all done tasks — journaled-complete ones included — grouped
-// by figure, plus the joined errors of tasks that exhausted their
-// retries. A failing task never stops the campaign; its figure is just
-// missing that slice.
-func runCampaign(tasks []experiments.Task, j *experiments.Journal, cc campaignConfig) (map[string][]experiments.Point, error) {
-	logf := cc.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if cc.Workers < 1 {
-		cc.Workers = 1
-	}
-
-	pacing := backoff.Policy{Base: cc.BackoffBase, Cap: cc.BackoffCap}
-	perTask := make([][]experiments.Point, len(tasks))
-	taskErrs := make([]error, len(tasks))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cc.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				task := tasks[i]
-				attempts := 0
-				if prev, ok := j.Lookup(task.Key); ok {
-					attempts = prev.Attempts
-				}
-				var lastErr error
-				for try := 0; try <= cc.Retries; try++ {
-					if try > 0 {
-						logf("%s: attempt %d failed (%v); retrying in %v", task.Key, attempts, lastErr, pacing.Delay(try))
-						pacing.Sleep(try)
-					}
-					attempts++
-					out := runAttempt(task, cc.Timeout)
-					if out.err == nil {
-						perTask[i] = out.pts
-						if err := j.Record(experiments.JournalEntry{
-							Key: task.Key, Status: experiments.StatusDone,
-							Attempts: attempts, Points: out.pts,
-						}); err != nil {
-							taskErrs[i] = fmt.Errorf("%s: journal: %w", task.Key, err)
-						}
-						lastErr = nil
-						break
-					}
-					lastErr = out.err
-				}
-				if lastErr != nil {
-					taskErrs[i] = fmt.Errorf("%s: %w", task.Key, lastErr)
-					if err := j.Record(experiments.JournalEntry{
-						Key: task.Key, Status: experiments.StatusFailed,
-						Attempts: attempts, Error: lastErr.Error(),
-					}); err != nil {
-						taskErrs[i] = errors.Join(taskErrs[i], fmt.Errorf("%s: journal: %w", task.Key, err))
-					}
-					logf("%s: giving up after %d attempts: %v", task.Key, attempts, lastErr)
-				}
-			}
-		}()
-	}
-
+// runCampaign runs the tasks one at a time, in order, journaling every
+// outcome so a killed campaign resumes where it stopped: a task the
+// journal records as done is not re-run and its recorded points are
+// reused. Each task's simulations already fan out over the CPUs through
+// RunMany, so the tasks themselves need no pool. A task that fails or
+// panics is journaled failed and the campaign moves on; its figure is
+// just missing that slice. A figure's tasks are contiguous, so emit gets
+// each figure's points as soon as its last task finishes (figures with
+// no points are skipped). runCampaign returns the joined errors of the
+// failed tasks.
+func runCampaign(tasks []experiments.Task, j *experiments.Journal, logf func(string, ...any), emit func(figure string, pts []experiments.Point)) error {
+	var failed []error
+	var pts []experiments.Point
 	skipped := 0
 	for i, task := range tasks {
-		if pts, ok := j.Done(task.Key); ok {
-			perTask[i] = pts
+		if done, ok := j.Done(task.Key); ok {
+			pts = append(pts, done...)
 			skipped++
-			continue
+		} else if got, err := runTask(task, j); err != nil {
+			logf("%s: %v", task.Key, err)
+			failed = append(failed, fmt.Errorf("%s: %w", task.Key, err))
+		} else {
+			pts = append(pts, got...)
 		}
-		work <- i
+		if last := i+1 == len(tasks) || tasks[i+1].Figure != task.Figure; last && len(pts) > 0 {
+			emit(task.Figure, pts)
+			pts = nil
+		}
 	}
-	close(work)
-	wg.Wait()
 	if skipped > 0 {
 		logf("resumed: %d of %d tasks already journaled complete", skipped, len(tasks))
 	}
+	return errors.Join(failed...)
+}
 
-	byFigure := map[string][]experiments.Point{}
-	for i, task := range tasks {
-		if taskErrs[i] == nil {
-			byFigure[task.Figure] = append(byFigure[task.Figure], perTask[i]...)
-		}
+// runTask runs one task, translating a panic into an error, and journals
+// the outcome with the attempt count carried over from earlier runs.
+func runTask(task experiments.Task, j *experiments.Journal) (pts []experiments.Point, err error) {
+	e := experiments.JournalEntry{Key: task.Key, Status: experiments.StatusDone, Attempts: 1}
+	if prev, ok := j.Lookup(task.Key); ok {
+		e.Attempts += prev.Attempts
 	}
-	return byFigure, errors.Join(taskErrs...)
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		pts, err = task.Run()
+	}()
+	if err != nil {
+		e.Status, e.Error = experiments.StatusFailed, err.Error()
+	} else {
+		e.Points = pts
+	}
+	if jerr := j.Record(e); jerr != nil {
+		return nil, errors.Join(err, fmt.Errorf("journal: %w", jerr))
+	}
+	return pts, err
 }

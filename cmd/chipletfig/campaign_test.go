@@ -1,83 +1,82 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"chipletnet/internal/experiments"
 )
 
 // counter tracks how many times each synthetic task ran.
-type counter struct {
-	mu   sync.Mutex
-	runs map[string]int
-}
-
-func newCounter() *counter { return &counter{runs: map[string]int{}} }
-
-func (c *counter) bump(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runs[key]++
-	return c.runs[key]
-}
-
-func (c *counter) count(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[key]
-}
+type counter map[string]int
 
 func pointFor(key string) []experiments.Point {
 	return []experiments.Point{{Experiment: key, Series: "s", X: 1, AvgLatency: float64(len(key))}}
 }
 
-func okTask(c *counter, key string) experiments.Task {
+func okTask(c counter, key string) experiments.Task {
 	return experiments.Task{Key: key, Figure: "fig", Run: func() ([]experiments.Point, error) {
-		c.bump(key)
+		c[key]++
 		return pointFor(key), nil
 	}}
 }
 
-// TestCampaignResumeSkipsDone is the acceptance scenario: a campaign
-// killed partway (simulated by a journal holding two completed tasks and
-// a truncated final append) is restarted with the same journal, and only
-// the unfinished task runs — the finished ones contribute their journaled
-// points without re-executing.
-func TestCampaignResumeSkipsDone(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	c := newCounter()
-	tasks := []experiments.Task{okTask(c, "t1"), okTask(c, "t2"), okTask(c, "t3")}
-
-	// First campaign: run t1 and t2 only, then "die" mid-append of t3.
+func openJournal(t *testing.T, path string) *experiments.Journal {
+	t.Helper()
 	j, err := experiments.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCampaign(tasks[:2], j, campaignConfig{Workers: 2}); err != nil {
+	t.Cleanup(func() { j.Close() })
+	return j
+}
+
+// collect runs the campaign and returns the emitted points by figure,
+// failing the test if a figure is emitted twice.
+func collect(t *testing.T, tasks []experiments.Task, j *experiments.Journal) (map[string][]experiments.Point, error) {
+	t.Helper()
+	byFig := map[string][]experiments.Point{}
+	err := runCampaign(tasks, j, t.Logf, func(fig string, pts []experiments.Point) {
+		if _, dup := byFig[fig]; dup {
+			t.Errorf("figure %s emitted twice", fig)
+		}
+		byFig[fig] = pts
+	})
+	return byFig, err
+}
+
+// TestCampaignResumeSkipsDone is the acceptance scenario: a campaign
+// killed partway (simulated by a journal holding two completed tasks) is
+// restarted with the same journal, and only the unfinished task runs —
+// the finished ones contribute their journaled points without
+// re-executing.
+func TestCampaignResumeSkipsDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	c := counter{}
+	tasks := []experiments.Task{okTask(c, "t1"), okTask(c, "t2"), okTask(c, "t3")}
+
+	// First campaign: run t1 and t2 only, then "die".
+	j := openJournal(t, path)
+	if _, err := collect(t, tasks[:2], j); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 
 	// Restart with the full task list: only t3 may execute.
-	j2, err := experiments.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	byFig, err := runCampaign(tasks, j2, campaignConfig{Workers: 2})
+	byFig, err := collect(t, tasks, openJournal(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"t1", "t2"} {
-		if n := c.count(key); n != 1 {
+		if n := c[key]; n != 1 {
 			t.Errorf("%s ran %d times; resume must not re-run journaled-complete tasks", key, n)
 		}
 	}
-	if n := c.count("t3"); n != 1 {
+	if n := c["t3"]; n != 1 {
 		t.Errorf("t3 ran %d times, want 1", n)
 	}
 	if got := len(byFig["fig"]); got != 3 {
@@ -85,113 +84,109 @@ func TestCampaignResumeSkipsDone(t *testing.T) {
 	}
 }
 
-// TestCampaignPanicRetry: a task that panics on its first attempt is
-// retried in isolation and succeeds; the journal records the attempts.
-func TestCampaignPanicRetry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := experiments.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	c := newCounter()
-	flaky := experiments.Task{Key: "flaky", Figure: "fig", Run: func() ([]experiments.Point, error) {
-		if c.bump("flaky") == 1 {
-			panic("transient")
-		}
-		return pointFor("flaky"), nil
-	}}
-	byFig, err := runCampaign([]experiments.Task{flaky}, j, campaignConfig{
-		Workers: 1, Retries: 2, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("panic was not absorbed by retry: %v", err)
-	}
-	if len(byFig["fig"]) != 1 {
-		t.Errorf("retried task produced %d points, want 1", len(byFig["fig"]))
-	}
-	if e, ok := j.Lookup("flaky"); !ok || e.Status != experiments.StatusDone || e.Attempts != 2 {
-		t.Errorf("journal entry = %+v, want done after 2 attempts", e)
-	}
-}
-
-// TestCampaignExhaustedRetries: a task that always fails is journaled
-// failed with its error, and the other tasks still complete.
-func TestCampaignExhaustedRetries(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := experiments.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	c := newCounter()
-	bad := experiments.Task{Key: "bad", Figure: "fig", Run: func() ([]experiments.Point, error) {
-		c.bump("bad")
+// TestCampaignPanicIsolation: a panicking task is journaled failed with
+// the panic text, the campaign goes on, and the next task runs and its
+// points are returned.
+func TestCampaignPanicIsolation(t *testing.T) {
+	j := openJournal(t, filepath.Join(t.TempDir(), "journal.jsonl"))
+	c := counter{}
+	boom := experiments.Task{Key: "boom", Figure: "fig", Run: func() ([]experiments.Point, error) {
+		c["boom"]++
 		panic("always")
 	}}
-	byFig, err := runCampaign([]experiments.Task{bad, okTask(c, "good")}, j, campaignConfig{
-		Workers: 2, Retries: 1, BackoffBase: time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("err = %v, want failure naming task bad", err)
+	byFig, err := collect(t, []experiments.Task{boom, okTask(c, "good")}, j)
+	if err == nil || !strings.Contains(err.Error(), "boom: panic: always") {
+		t.Fatalf("err = %v, want a failure naming task boom and its panic", err)
 	}
-	if n := c.count("bad"); n != 2 {
-		t.Errorf("bad attempted %d times, want 2 (1 + 1 retry)", n)
+	if c["boom"] != 1 || c["good"] != 1 {
+		t.Errorf("runs = %v, want each task run once", c)
 	}
-	if len(byFig["fig"]) != 1 {
-		t.Errorf("surviving task points = %d, want 1", len(byFig["fig"]))
+	if got := byFig["fig"]; !reflect.DeepEqual(got, pointFor("good")) {
+		t.Errorf("points = %v, want the surviving task's", got)
 	}
-	if e, ok := j.Lookup("bad"); !ok || e.Status != experiments.StatusFailed || !strings.Contains(e.Error, "always") {
-		t.Errorf("journal entry = %+v, want failed with panic text", e)
-	}
-
-	// A resumed campaign re-runs failed tasks (only done ones are skipped).
-	byFig, err = runCampaign([]experiments.Task{bad, okTask(c, "good")}, j, campaignConfig{Workers: 1})
-	if err == nil {
-		t.Fatal("resumed campaign should still fail on bad")
-	}
-	if n := c.count("good"); n != 1 {
-		t.Errorf("good re-ran on resume (%d runs); done tasks must be skipped", n)
-	}
-	if n := c.count("bad"); n != 3 {
-		t.Errorf("bad not re-attempted on resume: %d total runs, want 3", n)
-	}
-	if e, _ := j.Lookup("bad"); e.Attempts != 3 {
-		t.Errorf("attempts not carried across resume: %+v", e)
-	}
-	if len(byFig["fig"]) != 1 {
-		t.Errorf("resume points = %d, want 1", len(byFig["fig"]))
+	if e, ok := j.Lookup("boom"); !ok || e.Status != experiments.StatusFailed || e.Attempts != 1 || !strings.Contains(e.Error, "always") {
+		t.Errorf("journal entry = %+v, want failed after 1 attempt with the panic text", e)
 	}
 }
 
-// TestCampaignTimeout: an attempt exceeding -point-timeout is abandoned
-// and journaled failed instead of hanging the campaign.
-func TestCampaignTimeout(t *testing.T) {
+// TestCampaignFailureResumes: a resumed campaign re-runs a failed task
+// (only done ones are skipped), and its attempt count carries across
+// the restart through the journal file.
+func TestCampaignFailureResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := experiments.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	release := make(chan struct{})
-	defer close(release)
-	stuck := experiments.Task{Key: "stuck", Figure: "fig", Run: func() ([]experiments.Point, error) {
-		<-release
-		return nil, nil
+	c := counter{}
+	bad := experiments.Task{Key: "bad", Figure: "fig", Run: func() ([]experiments.Point, error) {
+		c["bad"]++
+		return nil, errors.New("deterministic failure")
 	}}
-	_, err = runCampaign([]experiments.Task{stuck}, j, campaignConfig{
-		Workers: 1, Timeout: 20 * time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout failure", err)
+	tasks := []experiments.Task{bad, okTask(c, "good")}
+	for run := 1; run <= 2; run++ {
+		j := openJournal(t, path)
+		byFig, err := collect(t, tasks, j)
+		if err == nil || !strings.Contains(err.Error(), "bad: deterministic failure") {
+			t.Fatalf("run %d: err = %v, want failure naming task bad", run, err)
+		}
+		if c["bad"] != run || c["good"] != 1 {
+			t.Errorf("run %d: runs = %v, want bad re-run and good skipped", run, c)
+		}
+		if len(byFig["fig"]) != 1 {
+			t.Errorf("run %d: points = %d, want 1", run, len(byFig["fig"]))
+		}
+		if e, _ := j.Lookup("bad"); e.Status != experiments.StatusFailed || e.Attempts != run {
+			t.Errorf("run %d: journal entry = %+v, want failed after %d attempts", run, e, run)
+		}
+		j.Close()
 	}
-	if e, ok := j.Lookup("stuck"); !ok || e.Status != experiments.StatusFailed {
-		t.Errorf("journal entry = %+v, want failed", e)
+}
+
+// TestCampaignMemoryJournalMatchesFile: without -journal the campaign
+// runs against a memory-only journal, and it must behave exactly like
+// a file journal — the same tasks run in the same order, each figure is
+// emitted right after its last task with the same points, and the same
+// failure comes back.
+func TestCampaignMemoryJournalMatchesFile(t *testing.T) {
+	run := func(path string) ([]string, error) {
+		var events []string
+		task := func(key, fig string, fail bool) experiments.Task {
+			return experiments.Task{Key: key, Figure: fig, Run: func() ([]experiments.Point, error) {
+				events = append(events, "run "+key)
+				if fail {
+					return nil, errors.New("failed")
+				}
+				return pointFor(key), nil
+			}}
+		}
+		tasks := []experiments.Task{
+			task("a/1", "a", false), task("a/2", "a", false),
+			task("b/1", "b", true),
+			task("c/1", "c", false), task("c/2", "c", true), task("c/3", "c", false),
+		}
+		err := runCampaign(tasks, openJournal(t, path), t.Logf, func(fig string, pts []experiments.Point) {
+			events = append(events, fmt.Sprintf("emit %s %v", fig, pts))
+		})
+		return events, err
+	}
+	mem, memErr := run("")
+	file, fileErr := run(filepath.Join(t.TempDir(), "journal.jsonl"))
+	want := []string{
+		"run a/1", "run a/2", fmt.Sprintf("emit a %v", append(pointFor("a/1"), pointFor("a/2")...)),
+		"run b/1",
+		"run c/1", "run c/2", "run c/3", fmt.Sprintf("emit c %v", append(pointFor("c/1"), pointFor("c/3")...)),
+	}
+	if !reflect.DeepEqual(mem, want) {
+		t.Errorf("memory journal events:\n got %q\nwant %q", mem, want)
+	}
+	if !reflect.DeepEqual(file, mem) {
+		t.Errorf("file journal events differ from memory journal:\n got %q\nwant %q", file, mem)
+	}
+	if memErr == nil || fileErr == nil || memErr.Error() != fileErr.Error() {
+		t.Errorf("errors differ: memory %v, file %v", memErr, fileErr)
 	}
 }
 
 // TestCampaignRealTask runs one genuine (tiny) experiment task through
-// the supervisor to keep the synthetic tests honest about the Task shape.
+// the campaign loop to keep the synthetic tests honest about the Task
+// shape.
 func TestCampaignRealTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation sweep")
@@ -204,12 +199,7 @@ func TestCampaignRealTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := experiments.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	byFig, err := runCampaign(tasks, j, campaignConfig{Workers: 2})
+	byFig, err := collect(t, tasks, openJournal(t, filepath.Join(t.TempDir(), "journal.jsonl")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	chipletfig [-scale quick|full] [-out DIR] EXPERIMENT...
+//	chipletfig [-scale quick|full] [-out DIR] [-journal FILE [-resume]] EXPERIMENT...
 //
 // Experiments (experiments.Names): table1, fig11, fig12, fig13, fig14,
 // fig15, fig16, ablation, faults, collective, workload, or all; an
@@ -10,13 +10,15 @@
 // latency curves (annotated with the estimated saturation point) to
 // stdout and, with -out, writes the raw points to DIR/<experiment>.csv.
 //
-// With -journal FILE the experiments run as a crash-safe campaign: the
-// figures split into independently journaled tasks executed by a worker
-// pool with per-task timeouts (-point-timeout), panic isolation and
-// capped-backoff retries (-retries). Every task outcome is appended to
-// the JSONL journal and fsynced, so a killed campaign restarted with
-// -resume re-runs only the unfinished tasks and still emits complete
-// figures:
+// Every invocation runs the figures as one campaign: each figure splits
+// into tasks (experiments.CampaignTasks) that run one after another,
+// and each figure is printed as soon as its last task finishes. A task
+// that fails or panics does not stop the campaign; chipletfig prints
+// every figure it has points for and exits 1 listing the failed tasks.
+//
+// With -journal FILE every task outcome is appended to a JSONL journal
+// and fsynced, so a killed campaign restarted with -resume re-runs only
+// the unfinished or failed tasks and still emits complete figures:
 //
 //	chipletfig -scale full -out results -journal results/journal.jsonl all
 //	# ... crash, OOM-kill, or ^C ...
@@ -38,11 +40,8 @@ func main() {
 	scaleName := fs.String("scale", "quick", "quick | full")
 	outDir := fs.String("out", "", "directory for CSV output (optional)")
 	replot := fs.String("replot", "", "regenerate SVG charts from the CSVs in this directory and exit")
-	journal := fs.String("journal", "", "run as a crash-safe campaign journaled to this JSONL file")
+	journal := fs.String("journal", "", "journal every task outcome to this JSONL file")
 	resume := fs.Bool("resume", false, "with -journal: skip tasks the journal records as complete")
-	pointTimeout := fs.Duration("point-timeout", 0, "with -journal: wall-clock limit per task attempt (0 = none)")
-	retries := fs.Int("retries", 2, "with -journal: extra attempts per failed task")
-	workers := fs.Int("workers", 1, "with -journal: concurrent campaign tasks")
 	fs.Engine()
 	fs.MustParse()
 
@@ -110,65 +109,33 @@ func main() {
 		fmt.Println()
 	}
 
-	if *journal != "" {
-		campaignMain(scale, names, *outDir, *journal, *resume, campaignConfig{
-			Workers:     *workers,
-			Timeout:     *pointTimeout,
-			Retries:     *retries,
-			BackoffBase: time.Second,
-			BackoffCap:  30 * time.Second,
-			Logf:        cli.Logf,
-		})
-		return
-	}
-
-	for _, name := range names {
-		start := time.Now()
-		fmt.Printf("=== %s (scale %s) ===\n", name, scale.Name)
-		pts, err := experiments.RunFigure(scale, name)
-		if err != nil {
-			cli.Fatalf("%s: %v", name, err)
-		}
-		writeFigure(name, pts, *outDir)
-		fmt.Printf("--- %s done in %v ---\n\n", name, time.Since(start).Round(time.Second))
-	}
-}
-
-// campaignMain runs the named figures as a crash-safe journaled campaign
-// and writes the same stdout curves and -out files as the direct path.
-// Without -resume an existing journal is discarded; with it the
-// journaled-complete tasks are skipped and their recorded points reused.
-func campaignMain(scale experiments.Scale, names []string, outDir, journalPath string, resume bool, cc campaignConfig) {
 	tasks, err := experiments.CampaignTasks(scale, names)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	if !resume {
-		if err := os.Remove(journalPath); err != nil && !os.IsNotExist(err) {
+	if !*resume && *journal != "" {
+		if err := os.Remove(*journal); err != nil && !os.IsNotExist(err) {
 			cli.Fatalf("%v", err)
 		}
 	}
-	j, err := experiments.OpenJournal(journalPath)
+	j, err := experiments.OpenJournal(*journal)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
 	defer j.Close()
 	if q := j.Quarantined(); q > 0 {
-		cli.Logf("journal: quarantined %d corrupt lines to %s.rej; their tasks re-run", q, journalPath)
+		cli.Logf("journal: quarantined %d corrupt lines to %s.rej; their tasks re-run", q, *journal)
 	}
 
 	start := time.Now()
-	byFigure, campErr := runCampaign(tasks, j, cc)
-	for _, name := range names {
-		if pts := byFigure[name]; len(pts) > 0 {
-			fmt.Printf("=== %s (scale %s) ===\n", name, scale.Name)
-			writeFigure(name, pts, outDir)
-			fmt.Println()
-		}
-	}
-	fmt.Printf("--- campaign done in %v ---\n", time.Since(start).Round(time.Second))
-	if campErr != nil {
-		cli.Fatalf("campaign finished with failed tasks:\n%v", campErr)
+	err = runCampaign(tasks, j, cli.Logf, func(name string, pts []experiments.Point) {
+		fmt.Printf("=== %s (scale %s) ===\n", name, scale.Name)
+		writeFigure(name, pts, *outDir)
+		fmt.Printf("--- %s done in %v ---\n\n", name, time.Since(start).Round(time.Second))
+		start = time.Now()
+	})
+	if err != nil {
+		cli.Fatalf("campaign finished with failed tasks:\n%v", err)
 	}
 }
 

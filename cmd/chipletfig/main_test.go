@@ -23,8 +23,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestUnknownExperimentRejectedFirst: an unknown experiment name exits 1
-// before anything runs — no Table I on stdout, no journal — on both the
-// direct and the -journal path.
+// before anything runs — no Table I on stdout, no journal — with and
+// without -journal.
 func TestUnknownExperimentRejectedFirst(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	for _, args := range []string{"table1 nosuch", "-journal " + journal + " table1 fig11 nosuch"} {

@@ -44,8 +44,8 @@ var surface = map[string]map[string]string{
 		"zero-load-rate": "0.02",
 	},
 	"chipletfig": {
-		"engine": "active", "journal": "", "out": "", "point-timeout": "", "replot": "",
-		"resume": "", "retries": "2", "scale": "quick", "workers": "1",
+		"engine": "active", "journal": "", "out": "", "replot": "", "resume": "",
+		"scale": "quick",
 	},
 	"chipletd": {
 		"addr": "127.0.0.1:8080", "backoff-base": "100ms", "backoff-cap": "5s",

@@ -65,7 +65,7 @@ func Run(sys *topology.System, alg Algorithm, pktFlits int, pol interleave.Polic
 	if err != nil {
 		return Result{}, err
 	}
-	if err := validate(sends, n); err != nil {
+	if err := Validate(sends, n); err != nil {
 		return Result{}, fmt.Errorf("collective: %s: %w", alg.Name(), err)
 	}
 
@@ -144,9 +144,6 @@ func Run(sys *topology.System, alg Algorithm, pktFlits int, pol interleave.Polic
 			ready = append(ready, i)
 		}
 	}
-	if len(ready) == 0 {
-		return Result{}, fmt.Errorf("collective: %s: schedule has no startable sends", alg.Name())
-	}
 
 	idleSince := int64(0)
 	for delivered < len(sends) {
@@ -180,7 +177,12 @@ func Run(sys *topology.System, alg Algorithm, pktFlits int, pol interleave.Polic
 	return res, nil
 }
 
-func validate(sends []Send, n int) error {
+// Validate checks a schedule over n participants: IDs are dense, every
+// send has distinct in-range endpoints and a payload, every dependency
+// names a send delivered to the sending node, and at least one send has
+// no dependencies, so the schedule can start.
+func Validate(sends []Send, n int) error {
+	startable := false
 	for i, s := range sends {
 		if s.ID != i {
 			return fmt.Errorf("send %d has id %d (must be dense)", i, s.ID)
@@ -199,6 +201,10 @@ func validate(sends []Send, n int) error {
 				return fmt.Errorf("send %d depends on send %d which is not delivered to node %d", i, d, s.Src)
 			}
 		}
+		startable = startable || len(s.Deps) == 0
+	}
+	if !startable {
+		return fmt.Errorf("schedule has no startable sends")
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func TestSchedulesValidate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s(n=%d): %v", a.Name(), n, err)
 			}
-			if err := validate(sends, n); err != nil {
+			if err := Validate(sends, n); err != nil {
 				t.Errorf("%s(n=%d): %v", a.Name(), n, err)
 			}
 		}

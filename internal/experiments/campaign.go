@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -16,25 +17,31 @@ type Task struct {
 	Run    func() ([]Point, error)
 }
 
-// figure is one experiment that yields Points: run computes it whole in
-// one batch, tasks splits it along its outermost sweep (per pattern, per
-// variant and topology, per bandwidth) so a killed-and-restarted
-// campaign only repeats the unfinished slices.
+// figure is one experiment that yields Points, described by its task
+// list: figures with a long outer sweep split along it (per pattern, per
+// variant and topology, per bandwidth) so a killed-and-restarted campaign
+// only repeats the unfinished slices; the rest are one task (whole).
 type figure struct {
 	name  string
-	run   func(Scale) ([]Point, error) // nil: its tasks, one after another
-	tasks func(Scale) []Task           // nil: one task running run
+	tasks func(Scale) []Task
+}
+
+// whole is the figure computed by run in one task keyed by its name.
+func whole(name string, run func(Scale) ([]Point, error)) figure {
+	return figure{name, func(s Scale) []Task {
+		return []Task{{name, name, func() ([]Point, error) { return run(s) }}}
+	}}
 }
 
 // figures lists the figure experiments in the order chipletfig runs them.
 var figures = []figure{
-	{name: "fig11", tasks: func(s Scale) (ts []Task) {
+	{"fig11", func(s Scale) (ts []Task) {
 		for _, pat := range Fig11Patterns() {
 			ts = append(ts, Task{"fig11/" + pat, "fig11", func() ([]Point, error) { return Fig11(s, pat) }})
 		}
 		return ts
 	}},
-	{name: "fig12", run: Fig12, tasks: func(s Scale) (ts []Task) {
+	{"fig12", func(s Scale) (ts []Task) {
 		for _, v := range fig12Variants(s) {
 			for _, topo := range v.Topos {
 				series := seriesName(topo)
@@ -48,19 +55,19 @@ var figures = []figure{
 		}
 		return ts
 	}},
-	{name: "fig13", run: Fig13},
-	{name: "fig14", tasks: func(s Scale) (ts []Task) {
+	whole("fig13", Fig13),
+	{"fig14", func(s Scale) (ts []Task) {
 		for _, bw := range Fig14Bandwidths() {
 			ts = append(ts, Task{fmt.Sprintf("fig14/bw%dflits", bw), "fig14", func() ([]Point, error) { return Fig14(s, bw) }})
 		}
 		return ts
 	}},
-	{name: "fig15", run: Fig15},
-	{name: "fig16", run: Fig16},
-	{name: "ablation", run: AblationRouting},
-	{name: "faults", run: FaultTolerance},
-	{name: "collective", run: CollectiveStudy},
-	{name: "workload", run: WorkloadStudy},
+	whole("fig15", Fig15),
+	whole("fig16", Fig16),
+	whole("ablation", AblationRouting),
+	whole("faults", FaultTolerance),
+	whole("collective", CollectiveStudy),
+	whole("workload", WorkloadStudy),
 }
 
 // Names lists every experiment chipletfig accepts, in the order it runs
@@ -100,49 +107,16 @@ func Select(args []string) ([]string, error) {
 	return out, nil
 }
 
-func lookup(name string) (figure, error) {
-	for _, f := range figures {
-		if f.name == name {
-			return f, nil
-		}
-	}
-	return figure{}, fmt.Errorf("experiments: unknown experiment %q", name)
-}
-
-// RunFigure computes the named figure whole, outside any campaign.
-func RunFigure(s Scale, name string) ([]Point, error) {
-	f, err := lookup(name)
-	switch {
-	case err != nil:
-		return nil, err
-	case f.run != nil:
-		return f.run(s)
-	}
-	var all []Point
-	for _, t := range f.tasks(s) {
-		pts, err := t.Run()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, pts...)
-	}
-	return all, nil
-}
-
 // CampaignTasks enumerates the tasks of the named figures at the given
 // scale, in a deterministic order with stable keys.
 func CampaignTasks(s Scale, names []string) ([]Task, error) {
 	var tasks []Task
 	for _, name := range names {
-		f, err := lookup(name)
-		if err != nil {
-			return nil, err
+		i := slices.IndexFunc(figures, func(f figure) bool { return f.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("experiments: unknown experiment %q", name)
 		}
-		if f.tasks == nil {
-			tasks = append(tasks, Task{name, name, func() ([]Point, error) { return f.run(s) }})
-			continue
-		}
-		tasks = append(tasks, f.tasks(s)...)
+		tasks = append(tasks, figures[i].tasks(s)...)
 	}
 	return tasks, nil
 }

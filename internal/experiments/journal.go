@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"chipletnet/internal/jsonl"
 )
@@ -32,21 +31,21 @@ type JournalEntry struct {
 // store in the repository: a truncated final line (crash mid-append) is
 // dropped and a corrupt interior line is quarantined to a .rej sidecar,
 // so its task simply re-runs on resume. A later entry for a key
-// overrides an earlier one, so retried tasks simply append.
-//
-// Record is safe for concurrent use; the campaign supervisor calls it
-// from its worker pool.
+// overrides an earlier one, so a re-run task simply appends.
 type Journal struct {
-	mu          sync.Mutex // held across Append so file and entries agree on order
-	log         *jsonl.Appender
+	log         *jsonl.Appender // nil when memory-only
 	entries     map[string]JournalEntry
 	quarantined int
 }
 
 // OpenJournal opens (creating if needed) the journal at path and loads
-// its existing entries, repairing the file as described on Journal.
+// its existing entries, repairing the file as described on Journal. An
+// empty path returns a memory-only journal that persists nothing.
 func OpenJournal(path string) (*Journal, error) {
 	entries := map[string]JournalEntry{}
+	if path == "" {
+		return &Journal{entries: entries}, nil
+	}
 	quarantined, err := jsonl.Load(path, func(line []byte) error {
 		var e JournalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
@@ -79,10 +78,10 @@ func (j *Journal) Record(e JournalEntry) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.log.Append(line); err != nil {
-		return err
+	if j.log != nil {
+		if err := j.log.Append(line); err != nil {
+			return err
+		}
 	}
 	j.entries[e.Key] = e
 	return nil
@@ -90,8 +89,6 @@ func (j *Journal) Record(e JournalEntry) error {
 
 // Lookup returns the latest journaled entry for key.
 func (j *Journal) Lookup(key string) (JournalEntry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	e, ok := j.entries[key]
 	return e, ok
 }
@@ -106,5 +103,10 @@ func (j *Journal) Done(key string) ([]Point, bool) {
 	return e.Points, true
 }
 
-// Close closes the underlying file.
-func (j *Journal) Close() error { return j.log.Close() }
+// Close closes the underlying file, if any.
+func (j *Journal) Close() error {
+	if j.log == nil {
+		return nil
+	}
+	return j.log.Close()
+}

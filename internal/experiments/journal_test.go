@@ -167,7 +167,33 @@ func TestCampaignTasksStableKeys(t *testing.T) {
 		}
 		seen[a[i].Key] = true
 	}
+	// Keys are what a journal resumes by, so their format is pinned: one
+	// written by an earlier build must still resume.
+	for _, key := range []string{"fig11/uniform", "fig12/a-16chiplets-4x4NoC/2D-mesh", "fig14/bw4flits", "faults"} {
+		if !seen[key] {
+			t.Errorf("no task keyed %q", key)
+		}
+	}
 	if _, err := CampaignTasks(Quick, []string{"fig99"}); err == nil {
 		t.Error("unknown experiment not rejected")
+	}
+}
+
+// TestJournalMemoryOnly: an empty path gives a journal that records and
+// answers like a file journal but persists nothing.
+func TestJournalMemoryOnly(t *testing.T) {
+	j, err := OpenJournal("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{{Experiment: "fig14", Series: "2D-mesh", X: 0.2, AvgLatency: 7}}
+	if err := j.Record(JournalEntry{Key: "a", Status: StatusDone, Attempts: 1, Points: pts}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := j.Done("a"); !ok || len(got) != 1 || got[0].AvgLatency != 7 {
+		t.Errorf("Done(a) = %v, %v; want recorded point back", got, ok)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -156,31 +156,68 @@ func drainAs(t *testing.T, c *Coordinator, worker string, res <-chan campaignRes
 // sequential single-machine exploration — the determinism contract the
 // whole coordinator design rests on.
 func TestCampaignMatchesSingleMachine(t *testing.T) {
+	runFleet(t, Config{HeartbeatTTL: 2 * time.Second, Tick: 10 * time.Millisecond}, 25*time.Millisecond, 0)
+}
+
+// TestWorkerBeatsInsideShortTTL: workers configured to beat every
+// second join a coordinator whose lease TTL is 150ms. They must follow
+// the TTL every heartbeat response carries and beat at a third of it,
+// so the campaign finishes without a single lease expiring. The runs
+// are long enough (40000 measured cycles) that the campaign outlives
+// several TTLs.
+func TestWorkerBeatsInsideShortTTL(t *testing.T) {
+	dir := runFleet(t, Config{HeartbeatTTL: 150 * time.Millisecond, Tick: 10 * time.Millisecond}, time.Second, 40000)
+	journal, err := os.ReadFile(filepath.Join(dir, "coord.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(journal), `"Ev":"`+evExpire+`"`); n > 0 {
+		t.Errorf("%d leases of live workers expired:\n%s", n, journal)
+	}
+}
+
+// runFleet runs the test space (with measure cycles per run, if
+// nonzero) as a campaign on a coordinator with cfg and two HTTP workers
+// beating every heartbeat, checks that the distributed frontier is
+// byte-identical to a single-machine Explore, and returns the
+// coordinator's state directory.
+func runFleet(t *testing.T, cfg Config, heartbeat time.Duration, measure int64) string {
+	t.Helper()
 	space, params := testSpace()
+	if measure > 0 {
+		params.MeasureCycles = measure
+	}
 	ref, err := dse.Explore(space, params, memStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c := openCoord(t, t.TempDir(), Config{HeartbeatTTL: 2 * time.Second, Tick: 10 * time.Millisecond})
+	dir := t.TempDir()
+	c := openCoord(t, dir, cfg)
 	mux := http.NewServeMux()
 	c.Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, id := range []string{"worker-a", "worker-b"} {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			RunWorker(ctx, WorkerConfig{ID: id, Join: srv.URL, Heartbeat: 25 * time.Millisecond, Logf: t.Logf})
+			RunWorker(ctx, WorkerConfig{ID: id, Join: srv.URL, Heartbeat: heartbeat, Logf: t.Logf})
 		}(id)
 	}
 
 	store := memStore(t)
-	plan := mustPlan(t, store)
+	plan, err := dse.NewPlan(space, params, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Pending) == 0 {
+		t.Fatal("test space produced no pending evaluations")
+	}
 	var mu sync.Mutex
 	lastDone := -1
 	recs, simulated, err := c.RunCampaign(ctx, "job-1", plan, store, func(done, total int) {
@@ -209,6 +246,7 @@ func TestCampaignMatchesSingleMachine(t *testing.T) {
 	if got, want := mustJSON(t, outcome.Frontier), mustJSON(t, ref.Frontier); got != want {
 		t.Errorf("distributed frontier differs from single-machine run:\n got %s\nwant %s", got, want)
 	}
+	return dir
 }
 
 // TestLeaseExpiryFencesAndReassigns kills worker a's heartbeat, waits

@@ -52,7 +52,7 @@ type heartbeatRequest struct {
 }
 
 type heartbeatResponse struct {
-	// TTLMS is the lease TTL; workers should beat well inside it.
+	// TTLMS is the lease TTL; workers beat at least three times within it.
 	TTLMS int64
 	// Assignments lists the renewed leases plus any fresh grants.
 	Assignments []Assignment

@@ -16,10 +16,18 @@ import (
 	"chipletnet/internal/service/backoff"
 )
 
-// maxPostAttempts bounds how long a worker hammers an unreachable
-// coordinator per request before abandoning the shard: the lease TTL
-// reassigns the work anyway, so there is no point outliving it.
-const maxPostAttempts = 8
+const (
+	// maxPostAttempts bounds how long a worker hammers an unreachable
+	// coordinator per request before abandoning the shard: the lease TTL
+	// reassigns the work anyway, so there is no point outliving it.
+	maxPostAttempts = 8
+	// maxLeases bounds the shards a worker holds at once (one being
+	// evaluated, one queued) so a single worker never hoards a campaign.
+	maxLeases = 2
+)
+
+// httpClient carries every worker request to the coordinator.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 // WorkerConfig tunes one worker's membership in a coordinator fleet.
 type WorkerConfig struct {
@@ -34,21 +42,14 @@ type WorkerConfig struct {
 	// they are reported, so a crash loses no finished work. nil means a
 	// memory-only store.
 	Cache *dse.Store
-	// Heartbeat is the beat interval (default 1s; keep it well inside
-	// the coordinator's TTL).
+	// Heartbeat is the longest beat interval (default 1s). The worker
+	// beats at a third of the coordinator's lease TTL when that is
+	// shorter, so a short TTL never expires a live worker's leases.
 	Heartbeat time.Duration
 	// Backoff paces request retries; the zero value means 200ms base, 5s
 	// cap, 0.5 jitter keyed by worker ID — a fleet retrying one flapped
 	// coordinator spreads out instead of stampeding.
 	Backoff backoff.Policy
-	// MaxLeases bounds the shards held at once (default 2: one being
-	// evaluated, one queued) so a single worker never hoards a campaign.
-	MaxLeases int
-	// BatchSize is how many records ride per delta flush (default 1 —
-	// the smallest possible unreported tail).
-	BatchSize int
-	// Client is the HTTP client (default: 30s timeout).
-	Client *http.Client
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -118,21 +119,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Backoff == (backoff.Policy{}) {
 		cfg.Backoff = backoff.Policy{Base: 200 * time.Millisecond, Cap: 5 * time.Second, Jitter: 0.5}
 	}
-	if cfg.MaxLeases <= 0 {
-		cfg.MaxLeases = 2
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	w := &worker{cfg: cfg, held: map[string]Assignment{}}
 
-	assignments := make(chan Assignment, 4*cfg.MaxLeases)
+	assignments := make(chan Assignment, 4*maxLeases)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -153,14 +145,16 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // heartbeatLoop beats immediately and then on every tick, enqueueing
 // assignments it has not seen. Leases are fenced by token, so the seen
 // set keys on the full triple: a re-grant after expiry carries a fresh
-// token and is picked up as new work.
+// token and is picked up as new work. Every response carries the lease
+// TTL, and the tick follows it down to a third of it.
 func (w *worker) heartbeatLoop(ctx context.Context, out chan<- Assignment) {
 	seen := map[string]bool{}
-	t := time.NewTicker(w.cfg.Heartbeat)
+	interval := w.cfg.Heartbeat
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		var resp heartbeatResponse
-		err := w.post(ctx, "heartbeat", heartbeatRequest{Worker: w.cfg.ID, Capacity: w.cfg.MaxLeases, Held: w.heldSnapshot()}, &resp)
+		err := w.post(ctx, "heartbeat", heartbeatRequest{Worker: w.cfg.ID, Capacity: maxLeases, Held: w.heldSnapshot()}, &resp)
 		if err != nil {
 			if ctx.Err() == nil {
 				w.cfg.Logf("worker %s: heartbeat: %v", w.cfg.ID, err)
@@ -168,6 +162,16 @@ func (w *worker) heartbeatLoop(ctx context.Context, out chan<- Assignment) {
 			// The ticker paces the retry; missing beats only risks the
 			// leases the TTL was designed to reclaim.
 		} else {
+			next := w.cfg.Heartbeat
+			if third := time.Duration(resp.TTLMS) * time.Millisecond / 3; third > 0 {
+				next = min(next, third)
+			}
+			// Reset restarts the period, so resetting on every beat
+			// would add each beat's round trip to the interval.
+			if next != interval {
+				interval = next
+				t.Reset(interval)
+			}
 			offered := make(map[string]bool, len(resp.Assignments))
 			for _, a := range resp.Assignments {
 				k := a.key()
@@ -204,16 +208,17 @@ func (w *worker) heartbeatLoop(ctx context.Context, out chan<- Assignment) {
 	}
 }
 
-// errAbandoned stops runShard's evaluation loop after a delta flush
+// errAbandoned stops runShard's evaluation loop after a delta post
 // failed or the lease was revoked.
 var errAbandoned = errors.New("coord: shard abandoned")
 
 // runShard drains one leased shard: fetch the remaining evaluations,
 // check every item's key, send the local-cache hits, then simulate the
-// rest with dse.Evaluate and stream each finished chunk back as delta
-// batches. Any terminal trouble — revocation, a conflict, a key
-// mismatch, an evaluation failure — abandons the shard and lets the
-// lease TTL hand the remainder to a healthier worker.
+// rest with dse.Evaluate and report each finished record in its own
+// delta, the smallest possible unreported tail. Any terminal trouble —
+// revocation, a conflict, a key mismatch, an evaluation failure —
+// abandons the shard and lets the lease TTL hand the remainder to a
+// healthier worker.
 func (w *worker) runShard(ctx context.Context, a Assignment) {
 	// Settled either way: stop echoing the lease, so an abandoned shard
 	// expires by TTL instead of staying leased to this worker forever.
@@ -233,25 +238,16 @@ func (w *worker) runShard(ctx context.Context, a Assignment) {
 			return
 		}
 	}
-	batch := make([]DeltaRecord, 0, w.cfg.BatchSize)
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
+	send := func(rec dse.Record, simulated bool) bool {
 		var resp deltaResponse
 		ok := w.postRetry(ctx, "delta", deltaRequest{
 			Worker:   w.cfg.ID,
 			Campaign: a.Campaign,
 			Shard:    a.Shard,
 			Lease:    a.Lease,
-			Records:  batch,
+			Records:  []DeltaRecord{{Record: rec, Simulated: simulated}},
 		}, &resp)
-		batch = batch[:0]
 		return ok && !resp.Revoked
-	}
-	send := func(rec dse.Record, simulated bool) bool {
-		batch = append(batch, DeltaRecord{Record: rec, Simulated: simulated})
-		return len(batch) < w.cfg.BatchSize || flush()
 	}
 	var pending []dse.Eval
 	for _, item := range work.Items {
@@ -271,13 +267,9 @@ func (w *worker) runShard(ctx context.Context, a Assignment) {
 		}
 		return nil
 	})
-	if err != nil {
-		if !errors.Is(err, errAbandoned) && ctx.Err() == nil {
-			w.cfg.Logf("worker %s: campaign %s shard %x: %v; abandoning shard", w.cfg.ID, a.Campaign, a.Shard, err)
-		}
-		return
+	if err != nil && !errors.Is(err, errAbandoned) && ctx.Err() == nil {
+		w.cfg.Logf("worker %s: campaign %s shard %x: %v; abandoning shard", w.cfg.ID, a.Campaign, a.Shard, err)
 	}
-	flush()
 }
 
 // postRetry posts until success, a terminal response, or the attempt
@@ -319,7 +311,7 @@ func (w *worker) post(ctx context.Context, path string, reqBody, respBody any) e
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	res, err := w.cfg.Client.Do(req)
+	res, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}

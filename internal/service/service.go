@@ -195,6 +195,10 @@ var (
 // to the queue, never to failed.
 var errDrained = errors.New("service: job interrupted by drain")
 
+// queueCap bounds the pending-job queue; Open raises it to hold every
+// replayed pending job.
+const queueCap = 1024
+
 // Config tunes the server.
 type Config struct {
 	// Dir is the state directory: jobs.jsonl, cache/ (sharded evaluation
@@ -211,8 +215,6 @@ type Config struct {
 	// CheckpointEvery is the periodic snapshot interval for simulate
 	// jobs, in cycles (default 2000).
 	CheckpointEvery int64
-	// QueueCap bounds the pending-job queue (default 1024).
-	QueueCap int
 	// Coordinator, when set, distributes every DSE job's pending
 	// evaluations across the worker fleet instead of simulating locally
 	// (see internal/service/coord). The server still plans, serves cache
@@ -261,9 +263,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 2000
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 1024
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -299,10 +298,7 @@ func Open(cfg Config) (*Server, error) {
 		drainCh: make(chan struct{}),
 	}
 	pending := s.replay(events)
-	if cap := cfg.QueueCap; cap < len(pending) {
-		cfg.QueueCap = len(pending)
-	}
-	s.queue = make(chan string, cfg.QueueCap)
+	s.queue = make(chan string, max(queueCap, len(pending)))
 	for _, id := range pending {
 		s.queue <- id
 	}

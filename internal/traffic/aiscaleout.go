@@ -96,6 +96,9 @@ func NewAIScaleOut(alg collective.Algorithm, spec workload.AIScaleOutSpec, endpo
 	if err != nil {
 		return nil, err
 	}
+	if err := collective.Validate(sends, n); err != nil {
+		return nil, fmt.Errorf("traffic: collective schedule: %w", err)
+	}
 	a := &AIScaleOut{
 		endpoints:   endpoints,
 		pktFlits:    pktFlits,
@@ -113,27 +116,12 @@ func NewAIScaleOut(alg collective.Algorithm, spec workload.AIScaleOutSpec, endpo
 		requests:    make(map[uint64]aiRequest),
 	}
 	for i, s := range sends {
-		if s.ID != i {
-			return nil, fmt.Errorf("traffic: collective schedule send %d has id %d (must be dense)", i, s.ID)
-		}
-		if s.Src < 0 || s.Src >= n || s.Dst < 0 || s.Dst >= n || s.Src == s.Dst {
-			return nil, fmt.Errorf("traffic: collective schedule send %d has bad endpoints %d->%d", i, s.Src, s.Dst)
-		}
-		if s.Flits < 1 {
-			return nil, fmt.Errorf("traffic: collective schedule send %d has no payload", i)
-		}
 		for _, d := range s.Deps {
-			if d < 0 || d >= len(sends) {
-				return nil, fmt.Errorf("traffic: collective schedule send %d depends on unknown send %d", i, d)
-			}
 			a.waiters[d] = append(a.waiters[d], i)
 		}
 		if len(s.Deps) == 0 {
 			a.roots = append(a.roots, i)
 		}
-	}
-	if len(a.roots) == 0 {
-		return nil, fmt.Errorf("traffic: collective schedule has no startable sends")
 	}
 	root := rng.New(seed)
 	for i := range a.rands {

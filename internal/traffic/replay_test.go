@@ -3,6 +3,7 @@ package traffic
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chipletnet/internal/checkpoint"
@@ -341,5 +342,26 @@ func TestAIScaleOutValidation(t *testing.T) {
 	bad.ReqFlits = 0
 	if _, err := NewAIScaleOut(alg, bad, denseEndpoints(4), 4, interleave.Policy{}, 1); err == nil {
 		t.Error("zero request length accepted")
+	}
+}
+
+// fixedSchedule is a collective.Algorithm returning a canned schedule.
+type fixedSchedule []collective.Send
+
+func (fixedSchedule) Name() string                              { return "fixed" }
+func (f fixedSchedule) Schedule(int) ([]collective.Send, error) { return f, nil }
+
+// TestAIScaleOutRejectsMisdirectedDependency: send 1 leaves node 2 but
+// waits on send 0, which is delivered to node 1. Node 2 never learns
+// that send 0 arrived, so the schedule is not causal; collective.Run
+// refuses it, and the generator must refuse it the same way.
+func TestAIScaleOutRejectsMisdirectedDependency(t *testing.T) {
+	alg := fixedSchedule{
+		{ID: 0, Src: 0, Dst: 1, Flits: 4},
+		{ID: 1, Src: 2, Dst: 3, Flits: 4, Deps: []int{0}},
+	}
+	_, err := NewAIScaleOut(alg, aiSpec(), denseEndpoints(4), 4, interleave.Policy{}, 1)
+	if err == nil || !strings.Contains(err.Error(), "not delivered to node 2") {
+		t.Errorf("err = %v, want the misdirected dependency rejected", err)
 	}
 }
