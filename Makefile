@@ -79,9 +79,10 @@ test-dse:
 	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:
-# the service core (journal replay, drain/requeue, deadline/retry/cancel
-# classification, HTTP endpoints, submit-time spec validation and the
-# FuzzJobSpec seed corpus), the backoff policy, the self-healing
+# the service core (journal replay, drain/requeue, done/failed/deadline/
+# cancel classification, unresumable-checkpoint fallback, HTTP
+# endpoints, submit-time spec validation and the FuzzJobSpec seed
+# corpus), the backoff policy, the self-healing
 # JSONL loader, the sharded-cache merge gate, batch-cancellation through
 # the module root, and the chipletd process-level acceptance tests —
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.

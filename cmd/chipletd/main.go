@@ -1,8 +1,7 @@
 // Command chipletd is the crash-safe campaign daemon: a long-running
 // HTTP+JSON service that accepts simulate, sweep and design-space
-// exploration jobs, schedules them on a bounded worker pool with per-job
-// deadlines and capped-exponential-backoff retries, and survives kill -9
-// without losing or duplicating work.
+// exploration jobs, runs each once on a bounded worker pool with per-job
+// deadlines, and survives kill -9 without losing or duplicating work.
 //
 // All state lives under -dir:
 //
@@ -78,9 +77,8 @@ func run(args []string) int {
 	dir := fs.String("dir", "chipletd-state", "state directory (job journal, sharded evaluation cache, checkpoints)")
 	workers := fs.Int("workers", 1, "concurrent jobs")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job wall-clock deadline (0 = none; jobs may override)")
-	retries := fs.Int("retries", 2, "default extra attempts after a job failure")
-	backoffBase := fs.Duration("backoff-base", 100*time.Millisecond, "delay before the first retry (doubles per retry)")
-	backoffCap := fs.Duration("backoff-cap", 5*time.Second, "upper bound on the retry delay")
+	backoffBase := fs.Duration("backoff-base", 100*time.Millisecond, "first delay of the coordinator's lease reassignment and the worker's request retries (doubles per retry)")
+	backoffCap := fs.Duration("backoff-cap", 5*time.Second, "upper bound on the lease-reassignment and worker request-retry delay")
 	ckptEvery := fs.Int64("checkpoint-every", 2000, "snapshot simulate jobs every N cycles")
 	fs.Engine()
 	coordinator := fs.Bool("coordinator", false, "serve the fleet coordinator: distribute DSE jobs across joined workers")
@@ -123,8 +121,6 @@ func run(args []string) int {
 		Dir:             *dir,
 		Workers:         *workers,
 		JobTimeout:      *jobTimeout,
-		Retries:         *retries,
-		Backoff:         backoff.Policy{Base: *backoffBase, Cap: *backoffCap},
 		CheckpointEvery: *ckptEvery,
 		Coordinator:     co,
 		Logf:            logger.Printf,

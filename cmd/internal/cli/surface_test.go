@@ -51,7 +51,7 @@ var surface = map[string]map[string]string{
 		"addr": "127.0.0.1:8080", "backoff-base": "100ms", "backoff-cap": "5s",
 		"checkpoint-every": "2000", "coordinator": "", "dir": "chipletd-state",
 		"engine": "active", "grace": "1m0s", "heartbeat": "1s", "heartbeat-ttl": "10s",
-		"job-timeout": "", "join": "", "retries": "2", "worker": "", "worker-id": "",
+		"job-timeout": "", "join": "", "worker": "", "worker-id": "",
 		"workers": "1",
 	},
 }

@@ -20,16 +20,7 @@ type Collective struct {
 }
 
 // CollectiveResult reports the timing of one collective execution.
-type CollectiveResult struct {
-	Algorithm string
-	// CompletionCycles is the cycle of the final delivery.
-	CompletionCycles int64
-	// Messages / TotalFlits describe the schedule volume.
-	Messages   int
-	TotalFlits int64
-	// BusBandwidth is total flits moved per cycle per participant.
-	BusBandwidth float64
-}
+type CollectiveResult = collective.Result
 
 // RunCollective builds cfg's system and executes the collective on it,
 // returning its completion time. Traffic-related configuration fields
@@ -48,17 +39,7 @@ func RunCollective(cfg Config, coll Collective) (CollectiveResult, error) {
 	if err != nil {
 		return CollectiveResult{}, err
 	}
-	res, err := collective.Run(sys.Topo, alg, cfg.PacketFlits, interleave.Policy{G: gran})
-	if err != nil {
-		return CollectiveResult{}, err
-	}
-	return CollectiveResult{
-		Algorithm:        res.Algorithm,
-		CompletionCycles: res.CompletionCycles,
-		Messages:         res.Messages,
-		TotalFlits:       res.TotalFlits,
-		BusBandwidth:     res.BusBandwidth,
-	}, nil
+	return collective.Run(sys.Topo, alg, cfg.PacketFlits, interleave.Policy{G: gran})
 }
 
 // collectiveAlgorithm maps a collective kind name to its schedule

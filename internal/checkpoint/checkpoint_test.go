@@ -16,7 +16,7 @@ func sampleState() *State {
 	return &State{
 		Config:  []byte(`{"Seed":7}`),
 		Cycle:   42,
-		Packets: []PacketState{{ID: 1, Src: 2, Dst: 3, Len: 4}, {ID: 9, Measured: true}},
+		Packets: []packet.Packet{{ID: 1, Src: 2, Dst: 3, Len: 4}, {ID: 9, Measured: true}},
 	}
 }
 

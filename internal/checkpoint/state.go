@@ -19,8 +19,9 @@ type State struct {
 
 	// Packets is the table of every packet referenced anywhere in the
 	// snapshot (buffers, wires, replay windows), serialized once each;
-	// all other sections reference packets by table index.
-	Packets []PacketState
+	// all other sections reference packets by table index. Storing
+	// packet.Packet itself checkpoints every field it has.
+	Packets []packet.Packet
 
 	Fabric FabricState
 	Gen    GeneratorState
@@ -28,30 +29,6 @@ type State struct {
 	Topo   TopoState
 	// Fault is nil when the run has no fault engine.
 	Fault *FaultState
-}
-
-// PacketState mirrors packet.Packet field-for-field.
-type PacketState struct {
-	ID       uint64
-	MsgID    uint64
-	SeqInMsg int
-	Src, Dst int
-	Tag      int
-	Len      int
-
-	CreatedAt   int64
-	InjectedAt  int64
-	DeliveredAt int64
-
-	Class uint8
-	Dep   int64
-
-	Measured bool
-	Rerouted bool
-
-	RouterHops  int
-	OnChipHops  int
-	OffChipHops int
 }
 
 // FabricState is the dynamic state of router.Fabric.
@@ -364,7 +341,7 @@ type LinkStreamState struct {
 // exactly once and referenced by index everywhere else.
 type PacketTable struct {
 	byPtr map[*packet.Packet]int
-	list  []PacketState
+	list  []packet.Packet
 }
 
 // NewPacketTable returns an empty table.
@@ -382,56 +359,21 @@ func (t *PacketTable) Ref(p *packet.Packet) int {
 	}
 	i := len(t.list)
 	t.byPtr[p] = i
-	t.list = append(t.list, PacketState{
-		ID:          p.ID,
-		MsgID:       p.MsgID,
-		SeqInMsg:    p.SeqInMsg,
-		Src:         p.Src,
-		Dst:         p.Dst,
-		Tag:         p.Tag,
-		Len:         p.Len,
-		CreatedAt:   p.CreatedAt,
-		InjectedAt:  p.InjectedAt,
-		DeliveredAt: p.DeliveredAt,
-		Class:       p.Class,
-		Dep:         p.Dep,
-		Measured:    p.Measured,
-		Rerouted:    p.Rerouted,
-		RouterHops:  p.RouterHops,
-		OnChipHops:  p.OnChipHops,
-		OffChipHops: p.OffChipHops,
-	})
+	t.list = append(t.list, *p)
 	return i
 }
 
-// List returns the interned packet states in reference order.
-func (t *PacketTable) List() []PacketState { return t.list }
+// List returns copies of the interned packets in reference order.
+func (t *PacketTable) List() []packet.Packet { return t.list }
 
-// Materialize rebuilds live packets from serialized states, preserving
+// Materialize rebuilds live packets from serialized copies, preserving
 // table indices. Restore paths share the returned slice so a packet
 // referenced from several places is one object again.
-func Materialize(states []PacketState) []*packet.Packet {
+func Materialize(states []packet.Packet) []*packet.Packet {
 	pkts := make([]*packet.Packet, len(states))
-	for i, s := range states {
-		pkts[i] = &packet.Packet{
-			ID:          s.ID,
-			MsgID:       s.MsgID,
-			SeqInMsg:    s.SeqInMsg,
-			Src:         s.Src,
-			Dst:         s.Dst,
-			Tag:         s.Tag,
-			Len:         s.Len,
-			CreatedAt:   s.CreatedAt,
-			InjectedAt:  s.InjectedAt,
-			DeliveredAt: s.DeliveredAt,
-			Class:       s.Class,
-			Dep:         s.Dep,
-			Measured:    s.Measured,
-			Rerouted:    s.Rerouted,
-			RouterHops:  s.RouterHops,
-			OnChipHops:  s.OnChipHops,
-			OffChipHops: s.OffChipHops,
-		}
+	for i := range states {
+		p := states[i]
+		pkts[i] = &p
 	}
 	return pkts
 }

@@ -45,9 +45,6 @@ type VC struct {
 	scratch []Candidate // reusable candidate buffer
 }
 
-// Free returns the free buffer space in flits.
-func (v *VC) Free() int { return v.Cap - v.flits }
-
 // Occupied returns the buffered flit count.
 func (v *VC) Occupied() int { return v.flits }
 

@@ -94,7 +94,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		counts[job.Status]++
 	}
 	queueDepth := len(s.queue)
-	retries, hits := s.retriesTotal, s.cacheHits
+	hits := s.cacheHits
 	s.mu.Unlock()
 
 	fmt.Fprintf(w, "chipletd_cache_hits_total %d\n", hits)
@@ -103,7 +103,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "chipletd_jobs{status=%q} %d\n", st, counts[st])
 	}
 	fmt.Fprintf(w, "chipletd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "chipletd_retries_total %d\n", retries)
 }
 
 // decodeJobSpec reads one submitted JobSpec, refusing unknown fields so a

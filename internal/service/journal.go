@@ -13,7 +13,7 @@ import (
 // queue included — is reconstructible after any crash by replaying it.
 const (
 	evSubmit   = "submit"   // carries the JobSpec
-	evStart    = "start"    // an attempt began; carries the cumulative attempt count
+	evStart    = "start"    // a process started the job; carries the cumulative start count
 	evRequeue  = "requeue"  // a drain interrupted the job; it goes back to the queue
 	evDone     = "done"     // carries the result payload
 	evFailed   = "failed"   // terminal failure; carries the error text

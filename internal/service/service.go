@@ -1,7 +1,6 @@
 // Package service is the campaign daemon's core: a crash-safe job
 // service that accepts simulate / sweep / DSE jobs, schedules them on a
-// bounded worker pool with panic isolation, per-job deadlines and
-// capped-exponential-backoff retries (internal/service/backoff), and
+// bounded worker pool with panic isolation and per-job deadlines, and
 // persists every state transition to an fsynced journal so a SIGKILLed
 // daemon restarts with zero lost and zero duplicated jobs.
 //
@@ -45,8 +44,8 @@ import (
 	"time"
 
 	"chipletnet"
+	"chipletnet/internal/checkpoint"
 	"chipletnet/internal/dse"
-	"chipletnet/internal/service/backoff"
 	"chipletnet/internal/service/coord"
 )
 
@@ -78,15 +77,12 @@ type JobSpec struct {
 	// TimeoutMS overrides the server's per-job deadline in milliseconds:
 	// 0 inherits the server default, < 0 disables the deadline.
 	TimeoutMS int64 `json:",omitempty"`
-	// Retries overrides the server's retry budget (extra attempts after
-	// a failure); 0 inherits the server default, < 0 disables retries.
-	Retries int `json:",omitempty"`
 }
 
 // Validate checks that the spec names a job type and carries valid
 // fields for it: a Config that passes Config.Validate, finite
-// non-negative rates, a Space that normalizes. A spec that fails would
-// fail every retry, so Submit refuses it before it is journaled.
+// non-negative rates, a Space that normalizes. Submit refuses a spec
+// that fails before it is journaled, so it never reaches a worker.
 func (sp JobSpec) Validate() error {
 	switch sp.Type {
 	case JobSimulate, JobSweep:
@@ -208,10 +204,6 @@ type Config struct {
 	Workers int
 	// JobTimeout is the default per-job wall-clock deadline (0 = none).
 	JobTimeout time.Duration
-	// Retries is the default extra attempts after a failure.
-	Retries int
-	// Backoff paces retries; the zero value means 100ms base, 5s cap.
-	Backoff backoff.Policy
 	// CheckpointEvery is the periodic snapshot interval for simulate
 	// jobs, in cycles (default 2000).
 	CheckpointEvery int64
@@ -239,8 +231,7 @@ type Server struct {
 	nextID  int
 	defunct bool // draining: reject submissions, readyz → 503
 	// Operational counters for /metrics (process-lifetime, not journaled).
-	retriesTotal int
-	cacheHits    int
+	cacheHits int
 
 	queue   chan string
 	drainCh chan struct{} // closed exactly once, by Drain
@@ -256,9 +247,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
-	}
-	if cfg.Backoff == (backoff.Policy{}) {
-		cfg.Backoff = backoff.Policy{Base: 100 * time.Millisecond, Cap: 5 * time.Second}
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 2000
@@ -529,8 +517,10 @@ func (s *Server) setProgress(job *Job, done, total int) {
 	s.mu.Unlock()
 }
 
-// runJob drives one job through its attempts: deadline, retries with
-// capped backoff, panic isolation, and drain/cancel classification.
+// runJob runs one job once, under its deadline, and classifies the
+// outcome: done, drained (requeued), degraded, canceled, deadline or
+// failed. Simulations are deterministic, so a failed run is not retried:
+// a second run would fail the same way.
 func (s *Server) runJob(id string) {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
@@ -546,12 +536,6 @@ func (s *Server) runJob(id string) {
 	} else if job.Spec.TimeoutMS < 0 {
 		timeout = 0
 	}
-	retries := s.cfg.Retries
-	if job.Spec.Retries > 0 {
-		retries = job.Spec.Retries
-	} else if job.Spec.Retries < 0 {
-		retries = 0
-	}
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if timeout > 0 {
@@ -561,6 +545,8 @@ func (s *Server) runJob(id string) {
 	}
 	s.cancels[id] = cancel
 	job.Status = StatusRunning
+	job.Attempts++
+	attempts := job.Attempts
 	s.mu.Unlock()
 	defer func() {
 		cancel()
@@ -568,69 +554,38 @@ func (s *Server) runJob(id string) {
 		delete(s.cancels, id)
 		s.mu.Unlock()
 	}()
+	s.setStatus(job, StatusRunning, jobEvent{ID: id, Event: evStart, Attempts: attempts})
 
-	var lastErr error
-	var attempts int
-	for try := 0; try <= retries; try++ {
-		if try > 0 {
-			s.logf("job %s: attempt %d failed (%v); retrying after backoff", id, attempts, lastErr)
-			if err := s.cfg.Backoff.Wait(ctx, try); err != nil {
-				break // deadline or cancel during backoff; classified below
-			}
-		}
-		s.mu.Lock()
-		job.Attempts++
-		attempts = job.Attempts
-		if try > 0 {
-			s.retriesTotal++
-		}
-		s.mu.Unlock()
-		s.setStatus(job, StatusRunning, jobEvent{ID: id, Event: evStart, Attempts: attempts})
-
-		result, err := s.execute(ctx, job)
-		if err == nil {
-			s.setStatus(job, StatusDone, jobEvent{ID: id, Event: evDone, Result: result})
-			s.logf("job %s: done (attempt %d)", id, attempts)
-			return
-		}
-		if errors.Is(err, chipletnet.ErrInterrupted) || errors.Is(err, errDrained) {
-			s.setStatus(job, StatusQueued, jobEvent{ID: id, Event: evRequeue, Attempts: attempts})
-			s.logf("job %s: drained mid-run; requeued (progress persisted)", id)
-			return
-		}
-		if errors.Is(err, coord.ErrDegraded) {
-			// The whole worker fleet died. Retrying immediately would just
-			// burn the dead-fleet grace again; fail typed and keep the
-			// partial frontier the survivors produced as the result
-			// payload. Resubmitting once workers return serves the folded
-			// records as cache hits and finishes the remainder.
-			msg := fmt.Sprintf("degraded after %d attempts: %v", attempts, err)
-			s.setStatus(job, StatusFailed, jobEvent{ID: id, Event: evFailed, Error: msg, Result: result})
-			s.logf("job %s: %s", id, msg)
-			return
-		}
-		if ctx.Err() != nil {
-			break // deadline or client cancel; classified below
-		}
-		lastErr = err
-	}
-
+	result, err := s.execute(ctx, job)
 	switch {
+	case err == nil:
+		s.setStatus(job, StatusDone, jobEvent{ID: id, Event: evDone, Result: result})
+		s.logf("job %s: done (attempt %d)", id, attempts)
+	case errors.Is(err, chipletnet.ErrInterrupted) || errors.Is(err, errDrained):
+		s.setStatus(job, StatusQueued, jobEvent{ID: id, Event: evRequeue, Attempts: attempts})
+		s.logf("job %s: drained mid-run; requeued (progress persisted)", id)
+	case errors.Is(err, coord.ErrDegraded):
+		// The whole worker fleet died. Fail typed and keep the partial
+		// frontier the survivors produced as the result payload.
+		// Resubmitting once workers return serves the folded records as
+		// cache hits and finishes the remainder.
+		msg := fmt.Sprintf("degraded: %v", err)
+		s.setStatus(job, StatusFailed, jobEvent{ID: id, Event: evFailed, Error: msg, Result: result})
+		s.logf("job %s: %s", id, msg)
 	case ctx.Err() == context.Canceled:
 		s.setStatus(job, StatusCanceled, jobEvent{ID: id, Event: evCanceled})
 		s.logf("job %s: canceled", id)
 	case ctx.Err() == context.DeadlineExceeded:
-		msg := fmt.Sprintf("job deadline (%v) exceeded after %d attempts", timeout, attempts)
+		msg := fmt.Sprintf("job deadline (%v) exceeded", timeout)
 		s.setStatus(job, StatusFailed, jobEvent{ID: id, Event: evFailed, Error: msg})
 		s.logf("job %s: %s", id, msg)
 	default:
-		msg := fmt.Sprintf("giving up after %d attempts: %v", attempts, lastErr)
-		s.setStatus(job, StatusFailed, jobEvent{ID: id, Event: evFailed, Error: msg})
-		s.logf("job %s: %s", id, msg)
+		s.setStatus(job, StatusFailed, jobEvent{ID: id, Event: evFailed, Error: err.Error()})
+		s.logf("job %s: failed: %v", id, err)
 	}
 }
 
-// execute runs one attempt of one job, dispatching on its type. A panic
+// execute runs one job, dispatching on its type. A panic
 // in the job body is recovered into an error (one bad candidate must
 // never take the daemon down).
 func (s *Server) execute(ctx context.Context, job *Job) (result json.RawMessage, err error) {
@@ -658,7 +613,9 @@ func (s *Server) checkpointPath(id string) string {
 // executeSimulate runs one configuration, checkpointing every
 // CheckpointEvery cycles so a SIGKILLed daemon loses at most that much
 // work, and snapshotting on drain. A checkpoint left by a previous
-// attempt resumes bit-identically.
+// start resumes bit-identically; one that cannot be resumed (corrupt,
+// another format version, or no longer fitting its configuration) is
+// removed and the job runs from cycle 0.
 func (s *Server) executeSimulate(ctx context.Context, job *Job) (json.RawMessage, error) {
 	s.setProgress(job, 0, 1)
 	ckpt := s.checkpointPath(job.ID)
@@ -670,10 +627,16 @@ func (s *Server) executeSimulate(ctx context.Context, job *Job) (json.RawMessage
 	}
 	var res chipletnet.Result
 	var err error
+	fresh := true
 	if _, statErr := os.Stat(ckpt); statErr == nil {
 		s.logf("job %s: resuming from checkpoint", job.ID)
 		res, err = chipletnet.ResumeRun(ckpt, ctrl)
-	} else {
+		if fresh = unresumable(err); fresh {
+			s.logf("job %s: discarding checkpoint (%v); running from cycle 0", job.ID, err)
+			os.Remove(ckpt)
+		}
+	}
+	if fresh {
 		var sys *chipletnet.System
 		if sys, err = chipletnet.Build(*job.Spec.Config); err != nil {
 			return nil, err
@@ -689,6 +652,18 @@ func (s *Server) executeSimulate(ctx context.Context, job *Job) (json.RawMessage
 	os.Remove(ckpt) // the snapshot is superseded by the result
 	s.setProgress(job, 1, 1)
 	return json.Marshal(res)
+}
+
+// unresumable reports whether a checkpoint failed to resume because of
+// the file itself rather than the run: such a snapshot will never load,
+// so the job must be redone from the start.
+func unresumable(err error) bool {
+	for _, bad := range []error{checkpoint.ErrNotCheckpoint, checkpoint.ErrCorrupt, checkpoint.ErrVersion, checkpoint.ErrMismatch} {
+		if errors.Is(err, bad) {
+			return true
+		}
+	}
+	return false
 }
 
 // executeSweep runs the rate ladder in one parallel batch; a drain

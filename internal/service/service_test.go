@@ -15,11 +15,7 @@ import (
 
 	"chipletnet"
 	"chipletnet/internal/dse"
-	"chipletnet/internal/service/backoff"
 )
-
-// fastBackoff keeps retry tests quick without disabling pacing.
-var fastBackoff = backoff.Policy{Base: time.Microsecond, Cap: time.Millisecond}
 
 // quickConfig is a small fast simulate/sweep configuration (~tens of
 // milliseconds end to end).
@@ -62,9 +58,6 @@ func tinySpec() JobSpec {
 
 func openTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Backoff == (backoff.Policy{}) {
-		cfg.Backoff = fastBackoff
-	}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -94,7 +87,7 @@ func waitStatus(t *testing.T, s *Server, id string, want ...JobStatus) Job {
 	return Job{}
 }
 
-// TestSubmitValidation: a spec that would fail every attempt is refused
+// TestSubmitValidation: a spec that cannot run is refused
 // at Submit, before it is journaled; the specs the other tests run pass.
 func TestSubmitValidation(t *testing.T) {
 	s := openTestServer(t, Config{Dir: t.TempDir()})
@@ -319,20 +312,141 @@ func TestJobDeadlineFails(t *testing.T) {
 	}
 }
 
-func TestRetryExhaustion(t *testing.T) {
+// TestRunFailureIsNotRetried: a job that fails at run time fails once.
+// The simulation is deterministic, so a second run would fail the same
+// way; the job ends failed after one start, carrying the run's error.
+func TestRunFailureIsNotRetried(t *testing.T) {
 	bad := quickConfig()
-	bad.Workload = "replay:" + filepath.Join(t.TempDir(), "missing.trace") // run-time error
-	s := openTestServer(t, Config{Dir: t.TempDir(), Retries: 2})
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	bad.Workload = "replay:" + missing // valid spec, run-time error
+	dir := t.TempDir()
+	s := openTestServer(t, Config{Dir: dir})
 	job, err := s.Submit(JobSpec{Type: JobSimulate, Config: &bad})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	done := waitStatus(t, s, job.ID, StatusFailed, StatusDone)
 	if done.Status != StatusFailed {
-		t.Fatal("invalid config job did not fail")
+		t.Fatal("job with a missing replay trace did not fail")
 	}
-	if done.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3 (1 + 2 retries)", done.Attempts)
+	if done.Attempts != 1 {
+		t.Errorf("Attempts = %d, want 1", done.Attempts)
+	}
+	if !strings.Contains(done.Error, missing) {
+		t.Errorf("error %q does not carry the run's error about %s", done.Error, missing)
+	}
+	s.Close()
+	if n := countEvents(t, dir, job.ID, evStart); n != 1 {
+		t.Errorf("journal holds %d start events for %s, want 1", n, job.ID)
+	}
+}
+
+// countEvents counts the journaled events of one kind for one job.
+func countEvents(t *testing.T, dir, id, event string) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var e jobEvent
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if e.ID == id && e.Event == event {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplayJournalWithRetryBudget: journals written before jobs ran
+// exactly once carry a retry-budget field in each submitted spec.
+// Journal replay ignores unknown fields, so such a job, journaled
+// mid-run, resumes and finishes.
+func TestReplayJournalWithRetryBudget(t *testing.T) {
+	cfg := quickConfig()
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	journal := `{"ID":"j000000","Event":"submit","Spec":{"Type":"simulate","Config":` + string(cfgJSON) + `,"Retries":2}}` + "\n" +
+		`{"ID":"j000000","Event":"start","Attempts":1}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openTestServer(t, Config{Dir: dir})
+	done := waitStatus(t, s, "j000000", StatusDone, StatusFailed)
+	if done.Status != StatusDone {
+		t.Fatalf("replayed job failed: %s", done.Error)
+	}
+	if done.Attempts != 2 {
+		t.Errorf("Attempts = %d, want 2 (one journaled start, one now)", done.Attempts)
+	}
+	direct, err := chipletnet.Run(cfg)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	if want := mustJSON(t, direct); !bytes.Equal(done.Result, want) {
+		t.Errorf("replayed result differs from direct run:\n got %s\nwant %s", done.Result, want)
+	}
+}
+
+// TestUnresumableCheckpointRunsFromStart: a checkpoint file that cannot
+// be resumed does not fail its job. The file is discarded and the job
+// runs from cycle 0 to the result of a run that never had one.
+func TestUnresumableCheckpointRunsFromStart(t *testing.T) {
+	cfg := quickConfig()
+	direct, err := chipletnet.Run(cfg)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	// skewed is a real mid-run checkpoint of cfg under another format
+	// version, as an upgrade that bumps checkpoint.Version leaves behind.
+	skewed := func(t *testing.T) []byte {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		sys, err := chipletnet.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl := chipletnet.RunControl{CheckpointPath: path, InterruptAtCycle: 200}
+		if _, err := sys.SimulateControlled(ctrl); !errors.Is(err, chipletnet.ErrInterrupted) {
+			t.Fatalf("interrupted run: %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[8]++ // the little-endian format version follows the 8-byte magic
+		return data
+	}
+	for name, file := range map[string]func(*testing.T) []byte{
+		"garbage":       func(*testing.T) []byte { return []byte("not a checkpoint") },
+		"other version": skewed,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := openTestServer(t, Config{Dir: t.TempDir()})
+			const id = "j000000" // the first ID a fresh state directory assigns
+			if err := os.WriteFile(s.checkpointPath(id), file(t), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			job, err := s.Submit(JobSpec{Type: JobSimulate, Config: &cfg})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if job.ID != id {
+				t.Fatalf("job ID %s, want %s", job.ID, id)
+			}
+			done := waitStatus(t, s, id, StatusDone, StatusFailed)
+			if done.Status != StatusDone {
+				t.Fatalf("job with an unresumable checkpoint failed: %s", done.Error)
+			}
+			if want := mustJSON(t, direct); !bytes.Equal(done.Result, want) {
+				t.Errorf("result differs from a run without a checkpoint:\n got %s\nwant %s", done.Result, want)
+			}
+		})
 	}
 }
 
@@ -463,6 +577,13 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	cfg := quickConfig()
 	spec, _ := json.Marshal(JobSpec{Type: JobSimulate, Config: &cfg})
+	// Jobs run once: the same spec asking for a retry budget names a
+	// field that no longer exists and is refused like any other unknown
+	// field.
+	withBudget := strings.TrimSuffix(string(spec), "}") + `,"Retries":2}`
+	if code, body := post("/jobs", withBudget); code != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+		t.Errorf("submit with a retry budget = %d (%s), want 400 for an unknown field", code, body)
+	}
 	code, body := post("/jobs", string(spec))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d (%s), want 202", code, body)

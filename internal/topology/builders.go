@@ -61,11 +61,6 @@ func (s *System) GlobalXY(id int) (gx, gy int) {
 	return co[0]*s.Geo.W + n.X, co[1]*s.Geo.H + n.Y
 }
 
-// GlobalDims returns the stitched global mesh dimensions (FlatMesh only).
-func (s *System) GlobalDims() (w, h int) {
-	return s.ChipDims[0] * s.Geo.W, s.ChipDims[1] * s.Geo.H
-}
-
 // BuildHypercube connects 2^n chiplets into a hypercube per Algorithm 1:
 // the interface ring is clustered into n groups, the group index is the
 // hypercube dimension, and each chiplet's group j links pairwise (slot by
@@ -204,27 +199,6 @@ func strideOf(dims []int, j int) int {
 		st *= dims[k]
 	}
 	return st
-}
-
-// ChipletIndex returns the chiplet index of a coordinate vector.
-func (s *System) ChipletIndex(co []int) int {
-	switch s.Kind {
-	case Hypercube:
-		i := 0
-		for j, b := range co {
-			i |= b << uint(j)
-		}
-		return i
-	case NDMesh, NDTorus, FlatMesh:
-		i, st := 0, 1
-		for j, d := range s.ChipDims {
-			i += co[j] * st
-			st *= d
-		}
-		return i
-	default:
-		return co[0]
-	}
 }
 
 // BuildDragonfly fully connects m chiplets (a dragonfly with one chiplet

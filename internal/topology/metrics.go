@@ -1,16 +1,5 @@
 package topology
 
-// Neighbors returns the node ids adjacent to id (excluding the local port).
-func (s *System) Neighbors(id int) []int {
-	var out []int
-	for _, p := range s.Nodes[id].Ports {
-		if p.Dir != DirLocal {
-			out = append(out, p.To)
-		}
-	}
-	return out
-}
-
 // bfs fills dist (len == node count, -1 = unreachable) with hop distances
 // from src over the node graph.
 func (s *System) bfs(src int, dist []int) {

@@ -124,9 +124,6 @@ type Node struct {
 	Ports []Port
 }
 
-// IsCore reports whether the node is an internal (core) node.
-func (n *Node) IsCore() bool { return n.RingPos < 0 }
-
 // Chiplet is the structural metadata of one chiplet instance.
 type Chiplet struct {
 	Index int
