@@ -25,14 +25,17 @@ lint:
 
 # test-checkpoint runs the checkpoint/restore and crash-safe-campaign
 # matrix under the race detector: bit-identical resume across topologies
-# and fault schedules, typed rejection of damaged snapshot files, the
-# cross-GOMAXPROCS determinism golden test, the checkpoint fuzz seed
-# corpus, the campaign journal, chipletfig's campaign loop (resume,
-# panic isolation, memory-only journal), and the run pool's positional
-# results (kept when one configuration fails).
+# and fault schedules, resume of the checkpoints in testdata/ written by an
+# earlier build, typed rejection of damaged or mismatched snapshot files,
+# the file format and packet table unit tests, the cross-GOMAXPROCS
+# determinism golden test, the checkpoint fuzz seed corpus, the campaign
+# journal, chipletfig's campaign loop (resume, panic isolation,
+# memory-only journal), and the run pool's positional results (kept when
+# one configuration fails).
 test-checkpoint:
 	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|RunManyKeeps|RunManyOrders' .
 	$(GO) test -race -run FuzzCheckpointRoundTrip .
+	$(GO) test -race ./internal/checkpoint ./internal/packet
 	$(GO) test -race -run 'Journal|Campaign' ./internal/experiments ./cmd/chipletfig
 
 # test-equiv runs the engine-equivalence gates under the race detector:

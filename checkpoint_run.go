@@ -192,28 +192,35 @@ func ResumeRun(path string, ctrl RunControl) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if (st.Fault != nil) != (eng != nil) {
-		return Result{}, fmt.Errorf("%w: snapshot fault state %v, configuration fault injection %v",
-			checkpoint.ErrMismatch, st.Fault != nil, eng != nil)
+	if err := sys.restore(st, src, col, eng); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", checkpoint.ErrMismatch, err)
 	}
+	return sys.run(src, col, eng, ctrl, st.Cycle)
+}
 
-	if err := sys.Topo.Restore(&st.Topo); err != nil {
-		return Result{}, err
+// restore lays the snapshot's dynamic state over a freshly prepared
+// system. Each layer's Restore reports what does not fit as a plain
+// error; ResumeRun classifies them all as checkpoint.ErrMismatch.
+func (s *System) restore(st *checkpoint.State, src traffic.Source, col *stats.Collector, eng *fault.Engine) error {
+	if (st.Fault != nil) != (eng != nil) {
+		return fmt.Errorf("snapshot fault state %v, configuration fault injection %v", st.Fault != nil, eng != nil)
 	}
-	pkts := checkpoint.Materialize(st.Packets)
-	if err := sys.Topo.Fabric.Restore(&st.Fabric, pkts); err != nil {
-		return Result{}, err
+	if err := s.Topo.Restore(&st.Topo); err != nil {
+		return fmt.Errorf("topology: %w", err)
+	}
+	if err := s.Topo.Fabric.Restore(&st.Fabric, packet.Materialize(st.Packets)); err != nil {
+		return fmt.Errorf("fabric: %w", err)
 	}
 	if err := src.Restore(&st.Gen); err != nil {
-		return Result{}, err
+		return fmt.Errorf("traffic source: %w", err)
 	}
 	col.Restore(&st.Stats)
 	if eng != nil {
 		if err := eng.Restore(st.Fault); err != nil {
-			return Result{}, err
+			return fmt.Errorf("fault engine: %w", err)
 		}
 	}
-	return sys.run(src, col, eng, ctrl, st.Cycle)
+	return nil
 }
 
 // run advances the simulation from the cycle after start to completion,
@@ -297,47 +304,27 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 		return false
 	}
 
-	for cy := start + 1; cy <= total; cy++ {
-		src.SetMeasured(cy > cfg.WarmupCycles)
-		src.Tick(f, cy)
+	// Cycles past total are the drain phase: the source stops injecting
+	// and the network empties, so delivery completeness (zero lost
+	// packets) is checkable. A resumed run may start inside it.
+	for cy := start + 1; cy <= total+cfg.DrainCycles; cy++ {
+		if cy <= total {
+			src.SetMeasured(cy > cfg.WarmupCycles)
+			src.Tick(f, cy)
+		} else if f.InFlight() == 0 {
+			break
+		}
 		if eng != nil {
 			if simErr = eng.Step(cy); simErr != nil {
 				break
 			}
 		}
 		f.Step()
-		if f.Deadlocked {
-			break
-		}
-		if control(cy) {
+		if f.Deadlocked || control(cy) {
 			break
 		}
 	}
-
-	// Drain phase: stop injecting and let the network empty, so delivery
-	// completeness (zero lost packets) is checkable.
-	drained := false
-	if simErr == nil && !f.Deadlocked && cfg.DrainCycles > 0 {
-		from := total
-		if start > from {
-			from = start // resuming a checkpoint taken mid-drain
-		}
-		for cy := from + 1; cy <= total+cfg.DrainCycles && f.InFlight() > 0; cy++ {
-			if eng != nil {
-				if simErr = eng.Step(cy); simErr != nil {
-					break
-				}
-			}
-			f.Step()
-			if f.Deadlocked {
-				break
-			}
-			if control(cy) {
-				break
-			}
-		}
-		drained = simErr == nil && !f.Deadlocked && f.InFlight() == 0
-	}
+	drained := cfg.DrainCycles > 0 && simErr == nil && !f.Deadlocked && f.InFlight() == 0
 
 	offeredRate := cfg.InjectionRate
 	if cfg.Workload != "" {
@@ -416,7 +403,7 @@ func (s *System) captureState(src traffic.Source, col *stats.Collector, eng *fau
 	if err != nil {
 		return nil, fmt.Errorf("chipletnet: serializing configuration: %w", err)
 	}
-	tbl := checkpoint.NewPacketTable()
+	tbl := packet.NewTable()
 	st := &checkpoint.State{
 		Config: cfgJSON,
 		Cycle:  cy,

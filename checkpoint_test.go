@@ -5,9 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"chipletnet/internal/checkpoint"
+	"chipletnet/internal/router"
 )
 
 // ckptTestConfig returns a small fast configuration for checkpoint tests:
@@ -274,6 +276,36 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointWorkloadMismatch: a synthetic run's snapshot whose
+// embedded configuration is rewritten to an AI-scale-out workload has no
+// section for the source the rebuilt system constructs; the layer's plain
+// refusal reaches the caller as ErrMismatch.
+func TestCheckpointWorkloadMismatch(t *testing.T) {
+	cfg := ckptTestConfig(HypercubeTopology(3))
+	path := filepath.Join(t.TempDir(), "synthetic.ckpt")
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: 200}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("got %v, want ErrInterrupted", err)
+	}
+	st, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload = aiWorkloadSpec
+	if st.Config, err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeRun(path, RunControl{}); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Errorf("got %v, want ErrMismatch", err)
+	}
+}
+
 // TestRunControlDeadline: a closed Deadline aborts the run with ErrTimeout
 // and a diagnostic snapshot of the in-flight traffic.
 func TestRunControlDeadline(t *testing.T) {
@@ -293,5 +325,122 @@ func TestRunControlDeadline(t *testing.T) {
 	}
 	if res.DeadlockReport == nil {
 		t.Error("no diagnostic snapshot on timeout")
+	}
+}
+
+// TestCheckpointFixturesResume: checkpoints written by an earlier build
+// still decode and resume to the Result of a fresh, uninterrupted run of
+// their embedded configuration. Each fixture carries state in the
+// sections whose types are the layers' own live types (credits, acks,
+// fault log and stats, pending replay releases, scheduled responses), so
+// a field rename there that gob can no longer match shows up as an
+// empty section or a diverging Result. From the repository root:
+//
+//	chipletsim -topology hypercube -dims 3 -noc 3x3 -warmup 100 -measure 500 -drain 30000 \
+//	    -rate 0.4 -fault-ber 5e-4 -fault-kill 460:12-48 \
+//	    -checkpoint testdata/checkpoint-v1-synthetic.ckpt -checkpoint-every 460
+//	chipletsim -topology hypercube -dims 3 -noc 3x3 -warmup 100 -measure 500 -drain 30000 \
+//	    -workload aiscaleout:allreduce-ring,data=64,compute=50,memrate=0.05,reqrate=0.05 \
+//	    -checkpoint testdata/checkpoint-v1-aiscaleout.ckpt -checkpoint-every 444
+//	chipletsim -topology hypercube -dims 3 -noc 3x3 -warmup 50 -measure 300 -drain 30000 \
+//	    -workload 'aiscaleout:allreduce-ring,data=64,compute=50,memrate=0.05,reqrate=0.05;record:testdata/checkpoint-v1-replay.trace'
+//	chipletsim -topology hypercube -dims 3 -noc 3x3 -warmup 50 -measure 300 -drain 30000 \
+//	    -offchip-latency 12 -workload replay:testdata/checkpoint-v1-replay.trace \
+//	    -checkpoint testdata/checkpoint-v1-replay.ckpt -checkpoint-every 239
+//
+// The checkpoint cycles are ones where the short-lived sections are
+// occupied: the kill's condemned interfaces have not drained, a response
+// is scheduled, and the slower replay fabric holds released entries.
+func TestCheckpointFixturesResume(t *testing.T) {
+	perLink := func(st *checkpoint.State, n func(l *router.LinkState) int) int {
+		sum := 0
+		for i := range st.Fabric.Links {
+			sum += n(&st.Fabric.Links[i])
+		}
+		return sum
+	}
+	credits := func(st *checkpoint.State) int {
+		return perLink(st, func(l *router.LinkState) int { return len(l.Credits) })
+	}
+	for _, tc := range []struct {
+		file string
+		// sections counts the entries of each section the fixture must
+		// carry; a section that is absent counts zero.
+		sections func(st *checkpoint.State) map[string]int
+	}{
+		{"checkpoint-v1-synthetic.ckpt", func(st *checkpoint.State) map[string]int {
+			m := map[string]int{
+				"credits": credits(st),
+				"acks":    perLink(st, func(l *router.LinkState) int { return len(l.Acks) }),
+				"replay window": perLink(st, func(l *router.LinkState) int {
+					if l.Rel == nil {
+						return 0
+					}
+					return len(l.Rel.Replay)
+				}),
+				"condemned":   len(st.Topo.Condemned),
+				"fault log":   0,
+				"fault stats": 0,
+			}
+			if st.Fault != nil {
+				m["fault log"] = len(st.Fault.Log)
+				m["fault stats"] = st.Fault.Stats.LinksKilled
+			}
+			return m
+		}},
+		{"checkpoint-v1-aiscaleout.ckpt", func(st *checkpoint.State) map[string]int {
+			m := map[string]int{"credits": credits(st), "responses": 0}
+			if ai := st.Gen.AIScaleOut; ai != nil {
+				m["responses"] = len(ai.Responses)
+			}
+			return m
+		}},
+		{"checkpoint-v1-replay.ckpt", func(st *checkpoint.State) map[string]int {
+			m := map[string]int{"credits": credits(st), "pending releases": 0}
+			if rp := st.Gen.Replay; rp != nil {
+				m["pending releases"] = len(rp.Pending)
+			}
+			return m
+		}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			path := filepath.Join("testdata", tc.file)
+			st, err := checkpoint.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, n := range tc.sections(st) {
+				if n == 0 {
+					t.Errorf("fixture section %q is empty", name)
+				}
+			}
+			var cfg Config
+			if err := json.Unmarshal(st.Config, &cfg); err != nil {
+				t.Fatal(err)
+			}
+			// A field gob no longer matches decodes as zero, which the
+			// Result may not show; this build's own snapshot at the same
+			// cycle does.
+			fresh := filepath.Join(t.TempDir(), "fresh.ckpt")
+			sys, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.SimulateControlled(RunControl{CheckpointPath: fresh, InterruptAtCycle: st.Cycle}); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("interrupt at cycle %d: got %v, want ErrInterrupted", st.Cycle, err)
+			}
+			if own, err := checkpoint.ReadFile(fresh); err != nil || !reflect.DeepEqual(st, own) {
+				t.Errorf("fixture decodes to a different State than this build writes at cycle %d (%v)", st.Cycle, err)
+			}
+			want, wantErr := Run(cfg)
+			got, err := ResumeRun(path, RunControl{})
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("resumed error %q, fresh run error %q", errText(err), errText(wantErr))
+			}
+			if gobHash(t, got) != gobHash(t, want) {
+				t.Errorf("resumed Result differs from the fresh run\n got: %s\nwant: %s",
+					resultJSON(t, got), resultJSON(t, want))
+			}
+		})
 	}
 }

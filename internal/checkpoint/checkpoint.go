@@ -1,7 +1,16 @@
-// Package checkpoint provides versioned, self-describing binary snapshots
-// of complete simulator state, with the guarantee that a run restored from
-// a snapshot taken at cycle k finishes bit-identical to the uninterrupted
-// run.
+// Package checkpoint is the checkpoint file format: a versioned,
+// self-describing envelope around one State, the complete dynamic state
+// of a simulation at a cycle boundary, with the guarantee that a run
+// restored from a snapshot taken at cycle k finishes bit-identical to the
+// uninterrupted run.
+//
+// Each section of State is declared by the package whose state it holds,
+// beside the Snapshot method that fills it and the Restore method that
+// lays it back: router (the fabric), traffic (the injection source),
+// stats (the collector), topology (fault-mutable group membership) and
+// fault (the fault engine). Packets are interned once in a packet.Table.
+// This package knows none of their internals; it frames, validates and
+// writes the encoded State.
 //
 // File layout (all integers little-endian):
 //
@@ -9,15 +18,17 @@
 //	0       8     magic "CHPLCKPT"
 //	8       4     format version (uint32)
 //	12      8     payload length (uint64)
-//	20      n     payload: gob-encoded State
+//	20      n     payload: gob-encoded checkpoint.State
 //	20+n    4     CRC-32 (IEEE) of the payload
 //
 // The header is validated before the payload is decoded, so a truncated,
 // corrupted, or version-skewed file is rejected with a typed error
-// (ErrNotCheckpoint, ErrVersion, ErrCorrupt) and never a panic. Writes go
-// through a temporary file in the destination directory followed by an
-// atomic rename, so a crash mid-write never leaves a half-written
-// checkpoint under the target name.
+// (ErrNotCheckpoint, ErrVersion, ErrCorrupt) and never a panic. A State
+// that decodes but does not fit the system rebuilt from its embedded
+// configuration is ErrMismatch, raised in one place by the module root's
+// ResumeRun. Writes go through a temporary file in the destination
+// directory followed by an atomic rename, so a crash mid-write never
+// leaves a half-written checkpoint under the target name.
 package checkpoint
 
 import (
@@ -30,6 +41,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"chipletnet/internal/fault"
+	"chipletnet/internal/packet"
+	"chipletnet/internal/router"
+	"chipletnet/internal/stats"
+	"chipletnet/internal/topology"
+	"chipletnet/internal/traffic"
 )
 
 // Version is the current checkpoint format version. It changes whenever
@@ -38,6 +56,35 @@ import (
 // run must be redone from the start (checkpoints are derived artifacts,
 // never the only copy of anything).
 const Version uint32 = 1
+
+// State is the complete dynamic state of one simulation at a cycle
+// boundary: everything Simulate touches between cycles, captured so that a
+// run restored from it finishes bit-identical to the uninterrupted run.
+// Structural state (topology wiring, routing tables, traffic patterns) is
+// NOT stored — it is rebuilt deterministically from the embedded Config —
+// only the mutable state layered on top of it is.
+type State struct {
+	// Config is the root-package Config, JSON-encoded (this package
+	// cannot import the root package). Resume rebuilds the system from
+	// it, so a snapshot is self-contained.
+	Config []byte
+	// Cycle is the last completed simulation cycle; resume continues at
+	// Cycle+1.
+	Cycle int64
+
+	// Packets is the table of every packet referenced anywhere in the
+	// snapshot (buffers, wires, replay windows), serialized once each;
+	// all other sections reference packets by table index. Storing
+	// packet.Packet itself checkpoints every field it has.
+	Packets []packet.Packet
+
+	Fabric router.FabricState
+	Gen    traffic.GeneratorState
+	Stats  stats.CollectorState
+	Topo   topology.TopoState
+	// Fault is nil when the run has no fault engine.
+	Fault *fault.FaultState
+}
 
 // magic identifies a chiplet-simulator checkpoint file.
 var magic = [8]byte{'C', 'H', 'P', 'L', 'C', 'K', 'P', 'T'}
@@ -54,6 +101,8 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt file")
 	// ErrMismatch: the snapshot decoded but does not fit the system being
 	// restored (e.g. it references structure the rebuilt topology lacks).
+	// The layers' Restore methods return plain errors; ResumeRun wraps
+	// every restore failure in ErrMismatch.
 	ErrMismatch = errors.New("checkpoint: snapshot does not match configuration")
 )
 

@@ -3,46 +3,60 @@ package fault
 import (
 	"fmt"
 	"sort"
-
-	"chipletnet/internal/checkpoint"
 )
+
+// FaultState is the checkpoint form of an Engine's schedule position and
+// accounting.
+type FaultState struct {
+	// NextEvent indexes the first not-yet-applied schedule event.
+	NextEvent int
+	// Pending lists condemned channels still draining, by endpoints.
+	Pending []CrossRef
+	// Seen lists delivered packet ids in ascending order.
+	Seen []uint64
+	// Dropped counts corruption records not logged (past LogCap).
+	Dropped int
+	Log     []Record
+	// Stats round-trips whole: Finish recomputes the layer-1 sums from the
+	// restored per-link counters, but the remaining fields are
+	// engine-owned.
+	Stats Stats
+	// Streams holds the per-link corruption stream states in the order
+	// the engine attached them (ascending link id).
+	Streams []LinkStreamState
+}
+
+// CrossRef identifies a chiplet-to-chiplet channel by endpoint node ids.
+type CrossRef struct {
+	A, B int
+}
+
+// LinkStreamState is one per-link corruption stream state.
+type LinkStreamState struct {
+	LinkID int
+	State  uint64
+}
 
 // Snapshot captures the engine's schedule position, drain queue, delivery
 // accounting, event log, and per-link corruption stream positions. The
 // schedule itself and the LinkRel attachments are not captured — New
 // rebuilds them deterministically from the same Config.
-func (e *Engine) Snapshot() *checkpoint.FaultState {
-	st := &checkpoint.FaultState{
+func (e *Engine) Snapshot() *FaultState {
+	st := &FaultState{
 		NextEvent: e.next,
 		Dropped:   e.dropped,
-		Stats: checkpoint.FaultStatsState{
-			CorruptedFlits:      e.Stats.CorruptedFlits,
-			CorruptedBundles:    e.Stats.CorruptedBundles,
-			Retransmissions:     e.Stats.Retransmissions,
-			Nacks:               e.Stats.Nacks,
-			LinksKilled:         e.Stats.LinksKilled,
-			LinksDegraded:       e.Stats.LinksDegraded,
-			LinksDecommissioned: e.Stats.LinksDecommissioned,
-			ReroutedPackets:     e.Stats.ReroutedPackets,
-			DeliveredPackets:    e.Stats.DeliveredPackets,
-			DuplicatePackets:    e.Stats.DuplicatePackets,
-			LostPackets:         e.Stats.LostPackets,
-		},
+		Log:       append([]Record(nil), e.Log...),
+		Stats:     e.Stats,
 	}
 	for _, pd := range e.pending {
-		st.Pending = append(st.Pending, checkpoint.CrossRef{A: pd.a, B: pd.b})
+		st.Pending = append(st.Pending, CrossRef{A: pd.a, B: pd.b})
 	}
 	for id := range e.seen {
 		st.Seen = append(st.Seen, id)
 	}
 	sort.Slice(st.Seen, func(i, j int) bool { return st.Seen[i] < st.Seen[j] })
-	for _, r := range e.Log {
-		st.Log = append(st.Log, checkpoint.FaultRecordState{
-			Cycle: r.Cycle, Kind: string(r.Kind), A: r.A, B: r.B, Detail: r.Detail,
-		})
-	}
 	for _, ls := range e.streams {
-		st.Streams = append(st.Streams, checkpoint.LinkStreamState{LinkID: ls.linkID, State: ls.r.State()})
+		st.Streams = append(st.Streams, LinkStreamState{LinkID: ls.linkID, State: ls.r.State()})
 	}
 	return st
 }
@@ -50,19 +64,19 @@ func (e *Engine) Snapshot() *checkpoint.FaultState {
 // Restore lays snapshot state back onto an engine freshly created by New
 // from the same Config against the same rebuilt system. Call after Attach
 // (which allocates the delivery-tracking set this fills).
-func (e *Engine) Restore(st *checkpoint.FaultState) error {
+func (e *Engine) Restore(st *FaultState) error {
 	if st.NextEvent < 0 || st.NextEvent > len(e.events) {
-		return fmt.Errorf("%w: schedule position %d of %d events",
-			checkpoint.ErrMismatch, st.NextEvent, len(e.events))
+		return fmt.Errorf("schedule position %d of %d events",
+			st.NextEvent, len(e.events))
 	}
 	if len(st.Streams) != len(e.streams) {
-		return fmt.Errorf("%w: snapshot has %d corruption streams, engine has %d",
-			checkpoint.ErrMismatch, len(st.Streams), len(e.streams))
+		return fmt.Errorf("snapshot has %d corruption streams, engine has %d",
+			len(st.Streams), len(e.streams))
 	}
 	for i, ss := range st.Streams {
 		if e.streams[i].linkID != ss.LinkID {
-			return fmt.Errorf("%w: corruption stream %d covers link %d in snapshot, link %d in engine",
-				checkpoint.ErrMismatch, i, ss.LinkID, e.streams[i].linkID)
+			return fmt.Errorf("corruption stream %d covers link %d in snapshot, link %d in engine",
+				i, ss.LinkID, e.streams[i].linkID)
 		}
 		e.streams[i].r.SetState(ss.State)
 	}
@@ -71,8 +85,8 @@ func (e *Engine) Restore(st *checkpoint.FaultState) error {
 	for _, cr := range st.Pending {
 		la, lb := e.crossLinks(cr.A, cr.B)
 		if la == nil && lb == nil {
-			return fmt.Errorf("%w: pending drain references missing channel %d-%d",
-				checkpoint.ErrMismatch, cr.A, cr.B)
+			return fmt.Errorf("pending drain references missing channel %d-%d",
+				cr.A, cr.B)
 		}
 		e.pending = append(e.pending, pendingDrain{a: cr.A, b: cr.B, la: la, lb: lb})
 	}
@@ -83,22 +97,7 @@ func (e *Engine) Restore(st *checkpoint.FaultState) error {
 		e.seen[id] = struct{}{}
 	}
 	e.dropped = st.Dropped
-	e.Log = nil
-	for _, r := range st.Log {
-		e.Log = append(e.Log, Record{Cycle: r.Cycle, Kind: Kind(r.Kind), A: r.A, B: r.B, Detail: r.Detail})
-	}
-	e.Stats = Stats{
-		CorruptedFlits:      st.Stats.CorruptedFlits,
-		CorruptedBundles:    st.Stats.CorruptedBundles,
-		Retransmissions:     st.Stats.Retransmissions,
-		Nacks:               st.Stats.Nacks,
-		LinksKilled:         st.Stats.LinksKilled,
-		LinksDegraded:       st.Stats.LinksDegraded,
-		LinksDecommissioned: st.Stats.LinksDecommissioned,
-		ReroutedPackets:     st.Stats.ReroutedPackets,
-		DeliveredPackets:    st.Stats.DeliveredPackets,
-		DuplicatePackets:    st.Stats.DuplicatePackets,
-		LostPackets:         st.Stats.LostPackets,
-	}
+	e.Log = append([]Record(nil), st.Log...)
+	e.Stats = st.Stats
 	return nil
 }

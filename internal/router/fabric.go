@@ -271,7 +271,7 @@ func (f *Fabric) AuditCredits() error {
 		l.chargedFlits(charged)
 		for i := 0; i < l.credits.Len(); i++ {
 			c := l.credits.At(i)
-			returning[c.vc] += c.n
+			returning[c.VC] += c.N
 		}
 		for vcIdx, vc := range ip.VCs {
 			got := op.Credits[vcIdx] + charged[vcIdx] + returning[vcIdx] + vc.flits
@@ -356,8 +356,8 @@ func (d *DeadlockReport) String() string {
 // snapshotDeadlock walks every router's input VCs in deterministic index
 // order and records the occupied ones — with no flit moving anywhere, every
 // buffered packet is by definition stalled. It reads VC heads directly
-// (no per-VC HeadInfo allocation) and allocates only the report itself
-// and one witness slice of bounded capacity.
+// and allocates only the report itself and one witness slice of bounded
+// capacity.
 func (f *Fabric) snapshotDeadlock(now int64) *DeadlockReport {
 	d := &DeadlockReport{
 		Cycle:       now,

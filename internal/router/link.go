@@ -66,10 +66,13 @@ type flitBundle struct {
 	corrupt bool
 }
 
+// creditBundle is one credit return on the wire. It is also its own
+// checkpoint form (LinkState.Credits): the fields are exported so gob
+// encodes them, under the names existing checkpoints carry.
 type creditBundle struct {
-	vc       int // VC index at Dst's input port whose buffer freed up
-	n        int
-	arriveAt int64
+	VC       int // VC index at Dst's input port whose buffer freed up
+	N        int
+	ArriveAt int64
 }
 
 // push enqueues n flits of p destined for downstream VC vc. The caller (the
@@ -89,7 +92,7 @@ func (l *Link) push(p *packet.Packet, n, vc int, now int64) {
 // returnCredit sends n credits for VC vc back to the link source.
 func (l *Link) returnCredit(vc, n int, now int64) {
 	l.Dst.Fabric.wakeLink(l, l.Dst)
-	l.credits.Push(creditBundle{vc: vc, n: n, arriveAt: now + int64(l.Latency)})
+	l.credits.Push(creditBundle{VC: vc, N: n, ArriveAt: now + int64(l.Latency)})
 }
 
 // pendingWork reports whether the link could still do anything on a
@@ -117,16 +120,16 @@ func (l *Link) deliver(now int64) bool {
 		l.Dst.receive(l.DstPort, b.vc, b.p, b.n, now)
 		moved = true
 	}
-	for l.acks.Len() > 0 && l.acks.Front().arriveAt <= now {
+	for l.acks.Len() > 0 && l.acks.Front().ArriveAt <= now {
 		a := l.acks.Pop()
 		l.Rel.onAck(l, a, now)
 	}
 	if l.Rel != nil && l.Rel.timedOut(now) {
 		l.Rel.retransmit(l, now)
 	}
-	for l.credits.Len() > 0 && l.credits.Front().arriveAt <= now {
+	for l.credits.Len() > 0 && l.credits.Front().ArriveAt <= now {
 		c := l.credits.Pop()
-		l.Src.Out[l.SrcPort].Credits[c.vc] += c.n
+		l.Src.Out[l.SrcPort].Credits[c.VC] += c.N
 		moved = true
 	}
 	return moved

@@ -65,14 +65,16 @@ type replayEntry struct {
 }
 
 // ackMsg is one acknowledgment traveling the reverse direction of the
-// link (same latency as the forward path). seq is cumulative: for an
+// link (same latency as the forward path). Seq is cumulative: for an
 // ack, the highest accepted sequence number; for a nack, the sequence
 // number the receiver expects next (everything below it is implicitly
-// acknowledged).
+// acknowledged). It is also its own checkpoint form (LinkState.Acks),
+// with fields exported for gob under the names existing checkpoints
+// carry.
 type ackMsg struct {
-	seq      uint64
-	nack     bool
-	arriveAt int64
+	Seq      uint64
+	Nack     bool
+	ArriveAt int64
 }
 
 // send enqueues a fresh bundle in the replay buffer and transmits it.
@@ -112,41 +114,41 @@ func (r *LinkRel) receive(l *Link, b flitBundle, now int64) bool {
 		// CRC failure: drop and request retransmission from the next
 		// expected bundle.
 		r.Nacks++
-		l.acks.Push(ackMsg{seq: r.expect, nack: true, arriveAt: now + lat})
+		l.acks.Push(ackMsg{Seq: r.expect, Nack: true, ArriveAt: now + lat})
 		return false
 	case b.seq == r.expect:
 		r.expect++
-		l.acks.Push(ackMsg{seq: b.seq, arriveAt: now + lat})
+		l.acks.Push(ackMsg{Seq: b.seq, ArriveAt: now + lat})
 		return true
 	case b.seq < r.expect:
 		// Stale duplicate of an already-accepted bundle (a retransmission
 		// that crossed paths with its ack): re-ack so the sender releases
 		// its replay buffer, deliver nothing. This is what makes delivery
 		// exactly-once.
-		l.acks.Push(ackMsg{seq: r.expect - 1, arriveAt: now + lat})
+		l.acks.Push(ackMsg{Seq: r.expect - 1, ArriveAt: now + lat})
 		return false
 	default:
 		// Sequence gap: an earlier bundle was dropped in transit.
 		// Go-back-N discards everything after the gap.
 		r.Nacks++
-		l.acks.Push(ackMsg{seq: r.expect, nack: true, arriveAt: now + lat})
+		l.acks.Push(ackMsg{Seq: r.expect, Nack: true, ArriveAt: now + lat})
 		return false
 	}
 }
 
 // onAck runs the sender half for one arrived ack or nack.
 func (r *LinkRel) onAck(l *Link, a ackMsg, now int64) {
-	if a.nack {
+	if a.Nack {
 		// Everything below the requested sequence number is implicitly
 		// acknowledged; the rest is resent.
-		for r.replay.Len() > 0 && r.replay.Front().seq < a.seq {
+		for r.replay.Len() > 0 && r.replay.Front().seq < a.Seq {
 			r.replay.Pop()
 		}
 		r.retransmit(l, now)
 		return
 	}
 	progressed := false
-	for r.replay.Len() > 0 && r.replay.Front().seq <= a.seq {
+	for r.replay.Len() > 0 && r.replay.Front().seq <= a.Seq {
 		r.replay.Pop()
 		progressed = true
 	}

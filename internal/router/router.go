@@ -59,23 +59,6 @@ func (v *VC) ForEachPacket(fn func(*packet.Packet)) {
 	}
 }
 
-// HeadDebug describes the head packet of a VC for diagnostics.
-type HeadDebug struct {
-	P              *packet.Packet
-	Received, Sent int
-	Safe           bool
-	State          uint8
-}
-
-// HeadInfo returns diagnostics for the VC's head packet, or nil.
-func (v *VC) HeadInfo() *HeadDebug {
-	h := v.head()
-	if h == nil {
-		return nil
-	}
-	return &HeadDebug{P: h.p, Received: h.received, Sent: h.sent, Safe: h.safe, State: uint8(v.state)}
-}
-
 // head returns the head packet instance, or nil.
 func (v *VC) head() *pktInst {
 	if v.q.Len() == 0 {

@@ -1,12 +1,12 @@
 // Package backoff is the repository's shared retry-pacing policy:
-// capped exponential delays between attempts. Every retry loop in the
-// process layer (the campaign daemon, the chipletfig supervisor) paces
-// itself through a Policy — the chipletlint retrysleep analyzer flags
-// bare time.Sleep calls inside loops anywhere else, so retry discipline
-// cannot silently regress to busy hammering.
+// capped exponential delays between attempts. Its callers are the fleet
+// coordinator's lease reassignment, the fleet worker's request retries
+// and the benchmark's status polling; the chipletlint retrysleep
+// analyzer flags bare time.Sleep calls inside loops anywhere else, so
+// retry discipline cannot silently regress to busy hammering.
 //
 // Delay is deliberately jitter-free: delays are a pure function of the
-// attempt number, so supervisor behavior is reproducible in tests. When
+// attempt number, so pacing is reproducible in tests. When
 // many independent clients retry against one server — the coordinator's
 // worker fleet — identical delays synchronize into a thundering herd, so
 // DelayFor adds per-key jitter that is still deterministic: the jitter
@@ -90,9 +90,6 @@ func (p Policy) DelayFor(key string, attempt int) time.Duration {
 	}
 	return scaled
 }
-
-// Sleep blocks for Delay(attempt).
-func (p Policy) Sleep(attempt int) { time.Sleep(p.Delay(attempt)) }
 
 // Wait blocks for Delay(attempt) or until ctx is done, whichever comes
 // first, returning ctx's error in the latter case — the pacing primitive

@@ -1,13 +1,34 @@
 package stats
 
-import (
-	"chipletnet/internal/checkpoint"
-	"chipletnet/internal/packet"
-)
+import "chipletnet/internal/packet"
+
+// CollectorState is the checkpoint form of a Collector's accumulators.
+// The per-class sections are slices rather than the Collector's
+// fixed-size arrays because gob does not decode a slice into an array.
+type CollectorState struct {
+	Latencies         []float64
+	SumLat            float64
+	SumNet            float64
+	MaxLat            int64
+	MeasuredDelivered int
+	DeliveredAll      int
+	AcceptedFlits     int64
+	SumRouters        float64
+	SumOnChip         float64
+	SumOffChip        float64
+
+	// Per-class accumulators, indexed by traffic class. Snapshots written
+	// before per-class accounting existed decode with these nil; Restore
+	// treats absent sections as all-zero.
+	ClassLatencies [][]float64
+	ClassMax       []int64
+	ClassDelivered []int
+	ClassFlits     []int64
+}
 
 // Snapshot captures the collector's accumulator state.
-func (c *Collector) Snapshot() checkpoint.CollectorState {
-	st := checkpoint.CollectorState{
+func (c *Collector) Snapshot() CollectorState {
+	st := CollectorState{
 		Latencies:         append([]float64(nil), c.latencies...),
 		SumLat:            c.sumLat,
 		SumNet:            c.sumNet,
@@ -38,7 +59,7 @@ func (c *Collector) Snapshot() checkpoint.CollectorState {
 // before per-class accounting existed carry no class sections; they
 // restore with all-zero class accumulators (their traffic predates
 // classes, so the aggregate view is the complete one).
-func (c *Collector) Restore(st *checkpoint.CollectorState) {
+func (c *Collector) Restore(st *CollectorState) {
 	c.latencies = append([]float64(nil), st.Latencies...)
 	c.sumLat = st.SumLat
 	c.sumNet = st.SumNet

@@ -3,16 +3,26 @@ package topology
 import (
 	"fmt"
 	"sort"
-
-	"chipletnet/internal/checkpoint"
 )
+
+// TopoState is the checkpoint form of the fault-mutable part of a System:
+// interface-group membership (kills remove members), the pre-fault
+// membership snapshot, and the condemned-interface set.
+type TopoState struct {
+	// Groups[c][g] lists group g of chiplet c's current members.
+	Groups [][][]int
+	// BaseGroups is the pre-fault snapshot, nil if never taken.
+	BaseGroups [][][]int
+	// Condemned lists condemned interface node ids in ascending order.
+	Condemned []int
+}
 
 // Snapshot captures the fault-mutable part of the topology: group
 // membership (kills remove members), the pre-fault membership snapshot,
 // and the condemned-interface set. Everything else in a System is
 // structural and rebuilt deterministically by Build.
-func (s *System) Snapshot() checkpoint.TopoState {
-	st := checkpoint.TopoState{
+func (s *System) Snapshot() TopoState {
+	st := TopoState{
 		Groups:     copyGroups3(groupsOf(s.Chiplets)),
 		BaseGroups: copyGroups3(s.BaseGroups),
 	}
@@ -25,15 +35,15 @@ func (s *System) Snapshot() checkpoint.TopoState {
 
 // Restore lays snapshot state back onto a System freshly built from the
 // same configuration.
-func (s *System) Restore(st *checkpoint.TopoState) error {
+func (s *System) Restore(st *TopoState) error {
 	if len(st.Groups) != len(s.Chiplets) {
-		return fmt.Errorf("%w: snapshot has %d chiplets, system has %d",
-			checkpoint.ErrMismatch, len(st.Groups), len(s.Chiplets))
+		return fmt.Errorf("snapshot has %d chiplets, system has %d",
+			len(st.Groups), len(s.Chiplets))
 	}
 	for c := range s.Chiplets {
 		if len(st.Groups[c]) != len(s.Chiplets[c].Groups) {
-			return fmt.Errorf("%w: chiplet %d has %d groups in snapshot, %d in system",
-				checkpoint.ErrMismatch, c, len(st.Groups[c]), len(s.Chiplets[c].Groups))
+			return fmt.Errorf("chiplet %d has %d groups in snapshot, %d in system",
+				c, len(st.Groups[c]), len(s.Chiplets[c].Groups))
 		}
 		for g := range s.Chiplets[c].Groups {
 			s.Chiplets[c].Groups[g] = append([]int(nil), st.Groups[c][g]...)
@@ -45,7 +55,7 @@ func (s *System) Restore(st *checkpoint.TopoState) error {
 		s.Condemned = make(map[int]bool, len(st.Condemned))
 		for _, id := range st.Condemned {
 			if id < 0 || id >= len(s.Nodes) {
-				return fmt.Errorf("%w: condemned node %d out of range", checkpoint.ErrMismatch, id)
+				return fmt.Errorf("condemned node %d out of range", id)
 			}
 			s.Condemned[id] = true
 		}

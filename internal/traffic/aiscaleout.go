@@ -1,10 +1,10 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
-	"chipletnet/internal/checkpoint"
 	"chipletnet/internal/collective"
 	"chipletnet/internal/interleave"
 	"chipletnet/internal/packet"
@@ -62,13 +62,16 @@ type AIScaleOut struct {
 	pool     *packet.Pool
 }
 
-// aiResponse is one response awaiting injection (endpoint indices; src
-// is the responder).
+// aiResponse is one response awaiting injection (endpoint indices; Src
+// is the responder, Dep the id of the request packet). It is also its
+// own checkpoint form (AIScaleOutState.Responses): the fields are
+// exported so gob encodes them, under the names existing checkpoints
+// carry.
 type aiResponse struct {
-	at       int64
-	src, dst int
-	flits    int
-	dep      int64
+	At       int64
+	Src, Dst int
+	Flits    int
+	Dep      int64
 }
 
 // aiRequest is one in-flight request (endpoint indices of the original
@@ -175,20 +178,20 @@ func (a *AIScaleOut) Tick(f *router.Fabric, now int64) {
 		var due []aiResponse
 		keep := a.responses[:0]
 		for _, r := range a.responses {
-			if r.at <= now {
+			if r.At <= now {
 				due = append(due, r)
 			} else {
 				keep = append(keep, r)
 			}
 		}
 		a.responses = keep
-		// Canonical same-cycle order, (at, dep): the order Snapshot
+		// Canonical same-cycle order, (At, Dep): the order Snapshot
 		// serializes, so a restored run injects identically to a live one.
 		sort.Slice(due, func(i, j int) bool {
-			if due[i].at != due[j].at {
-				return due[i].at < due[j].at
+			if due[i].At != due[j].At {
+				return due[i].At < due[j].At
 			}
-			return due[i].dep < due[j].dep
+			return due[i].Dep < due[j].Dep
 		})
 		for _, r := range due {
 			a.injectResponse(f, r, now)
@@ -282,7 +285,7 @@ func (a *AIScaleOut) launchSend(f *router.Fabric, id int, now int64) {
 // injectResponse injects one latency-class response, annotated with the
 // request packet it answers.
 func (a *AIScaleOut) injectResponse(f *router.Fabric, r aiResponse, now int64) {
-	a.injectOne(f, a.endpoints[r.src], a.endpoints[r.dst], r.flits, packet.ClassLatency, r.dep, now, nil)
+	a.injectOne(f, a.endpoints[r.Src], a.endpoints[r.Dst], r.Flits, packet.ClassLatency, r.Dep, now, nil)
 }
 
 // injectOne injects a single-packet message; req non-nil registers it as
@@ -340,11 +343,11 @@ func (a *AIScaleOut) OnDeliver(p *packet.Packet, now int64) {
 	if req, ok := a.requests[p.ID]; ok {
 		delete(a.requests, p.ID)
 		a.responses = append(a.responses, aiResponse{
-			at:    now + 1,
-			src:   req.dst,
-			dst:   req.src,
-			flits: req.flits,
-			dep:   int64(p.ID),
+			At:    now + 1,
+			Src:   req.dst,
+			Dst:   req.src,
+			Flits: req.flits,
+			Dep:   int64(p.ID),
 		})
 	}
 }
@@ -352,8 +355,8 @@ func (a *AIScaleOut) OnDeliver(p *packet.Packet, now int64) {
 // Snapshot implements Source: the phase machine, the per-send state and
 // the request/response bookkeeping, map-backed parts flattened in sorted
 // order so the snapshot bytes are canonical.
-func (a *AIScaleOut) Snapshot() checkpoint.GeneratorState {
-	as := &checkpoint.AIScaleOutState{
+func (a *AIScaleOut) Snapshot() GeneratorState {
+	as := &AIScaleOutState{
 		Phase:          a.phase,
 		PhaseActive:    a.phaseActive,
 		ComputeUntil:   a.computeUntil,
@@ -362,14 +365,12 @@ func (a *AIScaleOut) Snapshot() checkpoint.GeneratorState {
 		LastPkt:        append([]int64(nil), a.lastPkt...),
 		ReadySends:     append([]int(nil), a.ready...),
 		DeliveredSends: a.deliveredSends,
+		Responses:      append([]aiResponse(nil), a.responses...),
 	}
 	for pkt, send := range a.pktSend {
-		as.PktSend = append(as.PktSend, checkpoint.AIPktSendState{Pkt: pkt, Send: send})
+		as.PktSend = append(as.PktSend, AIPktSendState{Pkt: pkt, Send: send})
 	}
 	sort.Slice(as.PktSend, func(i, j int) bool { return as.PktSend[i].Pkt < as.PktSend[j].Pkt })
-	for _, r := range a.responses {
-		as.Responses = append(as.Responses, checkpoint.AIResponseState{At: r.at, Src: r.src, Dst: r.dst, Flits: r.flits, Dep: r.dep})
-	}
 	sort.Slice(as.Responses, func(i, j int) bool {
 		if as.Responses[i].At != as.Responses[j].At {
 			return as.Responses[i].At < as.Responses[j].At
@@ -377,11 +378,11 @@ func (a *AIScaleOut) Snapshot() checkpoint.GeneratorState {
 		return as.Responses[i].Dep < as.Responses[j].Dep
 	})
 	for pkt, req := range a.requests {
-		as.Requests = append(as.Requests, checkpoint.AIRequestState{Pkt: pkt, Src: req.src, Dst: req.dst, Flits: req.flits})
+		as.Requests = append(as.Requests, AIRequestState{Pkt: pkt, Src: req.src, Dst: req.dst, Flits: req.flits})
 	}
 	sort.Slice(as.Requests, func(i, j int) bool { return as.Requests[i].Pkt < as.Requests[j].Pkt })
 
-	st := checkpoint.GeneratorState{
+	st := GeneratorState{
 		Rands:          make([]uint64, len(a.rands)),
 		NextID:         a.nextID,
 		NextMsg:        a.nextMsg,
@@ -395,23 +396,23 @@ func (a *AIScaleOut) Snapshot() checkpoint.GeneratorState {
 }
 
 // Restore implements Source.
-func (a *AIScaleOut) Restore(st *checkpoint.GeneratorState) error {
+func (a *AIScaleOut) Restore(st *GeneratorState) error {
 	as := st.AIScaleOut
 	if as == nil {
-		return fmt.Errorf("%w: snapshot was not taken from an aiscaleout source", checkpoint.ErrMismatch)
+		return errors.New("snapshot was not taken from an aiscaleout source")
 	}
 	if len(st.Rands) != len(a.rands) {
-		return fmt.Errorf("%w: snapshot has %d background streams, source has %d",
-			checkpoint.ErrMismatch, len(st.Rands), len(a.rands))
+		return fmt.Errorf("snapshot has %d background streams, source has %d",
+			len(st.Rands), len(a.rands))
 	}
 	n := len(a.sends)
 	if len(as.PendingDeps) != n || len(as.Remaining) != n || len(as.LastPkt) != n {
-		return fmt.Errorf("%w: snapshot describes a %d-send schedule, source has %d",
-			checkpoint.ErrMismatch, len(as.PendingDeps), n)
+		return fmt.Errorf("snapshot describes a %d-send schedule, source has %d",
+			len(as.PendingDeps), n)
 	}
 	for _, s := range as.ReadySends {
 		if s < 0 || s >= n {
-			return fmt.Errorf("%w: ready send %d outside schedule", checkpoint.ErrMismatch, s)
+			return fmt.Errorf("ready send %d outside schedule", s)
 		}
 	}
 	for i, r := range st.Rands {
@@ -428,14 +429,11 @@ func (a *AIScaleOut) Restore(st *checkpoint.GeneratorState) error {
 	a.pktSend = make(map[uint64]int, len(as.PktSend))
 	for _, ps := range as.PktSend {
 		if ps.Send < 0 || ps.Send >= n {
-			return fmt.Errorf("%w: in-flight packet maps to send %d outside schedule", checkpoint.ErrMismatch, ps.Send)
+			return fmt.Errorf("in-flight packet maps to send %d outside schedule", ps.Send)
 		}
 		a.pktSend[ps.Pkt] = ps.Send
 	}
-	a.responses = a.responses[:0]
-	for _, r := range as.Responses {
-		a.responses = append(a.responses, aiResponse{at: r.At, src: r.Src, dst: r.Dst, flits: r.Flits, dep: r.Dep})
-	}
+	a.responses = append(a.responses[:0], as.Responses...)
 	a.requests = make(map[uint64]aiRequest, len(as.Requests))
 	for _, r := range as.Requests {
 		a.requests[r.Pkt] = aiRequest{src: r.Src, dst: r.Dst, flits: r.Flits}

@@ -1,10 +1,10 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
-	"chipletnet/internal/checkpoint"
 	"chipletnet/internal/interleave"
 	"chipletnet/internal/packet"
 	"chipletnet/internal/router"
@@ -41,9 +41,12 @@ type Replayer struct {
 }
 
 // replayRelease is one released trace entry awaiting its injection cycle.
+// It is also its own checkpoint form (ReplayCursorState.Pending): the
+// fields are exported so gob encodes them, under the names existing
+// checkpoints carry.
 type replayRelease struct {
-	entry int
-	at    int64
+	Entry int
+	At    int64
 }
 
 // NewReplayer creates a replayer for the trace over the given traffic
@@ -96,8 +99,8 @@ func (r *Replayer) Tick(f *router.Fabric, now int64) {
 	if len(r.pending) > 0 {
 		keep := r.pending[:0]
 		for _, rel := range r.pending {
-			if rel.at <= now {
-				due = append(due, rel.entry)
+			if rel.At <= now {
+				due = append(due, rel.Entry)
 			} else {
 				keep = append(keep, rel)
 			}
@@ -164,20 +167,18 @@ func (r *Replayer) OnDeliver(p *packet.Packet, now int64) {
 		delete(r.waiting, int64(idx))
 		r.nwaiting -= len(ws)
 		for _, w := range ws {
-			r.pending = append(r.pending, replayRelease{entry: w, at: now + 1})
+			r.pending = append(r.pending, replayRelease{Entry: w, At: now + 1})
 		}
 	}
 }
 
 // Snapshot implements Source: the cursor, the delivery bitmap, and the
 // release/waiting/in-flight bookkeeping, all in deterministic order.
-func (r *Replayer) Snapshot() checkpoint.GeneratorState {
-	rs := &checkpoint.ReplayCursorState{
+func (r *Replayer) Snapshot() GeneratorState {
+	rs := &ReplayCursorState{
 		Cursor:    r.cursor,
 		Delivered: append([]uint64(nil), r.delivered...),
-	}
-	for _, rel := range r.pending {
-		rs.Pending = append(rs.Pending, checkpoint.ReplayPendingState{Entry: rel.entry, At: rel.at})
+		Pending:   append([]replayRelease(nil), r.pending...),
 	}
 	sort.Slice(rs.Pending, func(a, b int) bool {
 		if rs.Pending[a].At != rs.Pending[b].At {
@@ -190,10 +191,10 @@ func (r *Replayer) Snapshot() checkpoint.GeneratorState {
 	}
 	sort.Ints(rs.Waiting)
 	for pkt, entry := range r.inflight {
-		rs.InFlight = append(rs.InFlight, checkpoint.ReplayFlightState{Pkt: pkt, Entry: entry})
+		rs.InFlight = append(rs.InFlight, ReplayFlightState{Pkt: pkt, Entry: entry})
 	}
 	sort.Slice(rs.InFlight, func(a, b int) bool { return rs.InFlight[a].Pkt < rs.InFlight[b].Pkt })
-	return checkpoint.GeneratorState{
+	return GeneratorState{
 		NextID:         r.nextID,
 		OfferedPackets: r.offered,
 		Replay:         rs,
@@ -201,33 +202,32 @@ func (r *Replayer) Snapshot() checkpoint.GeneratorState {
 }
 
 // Restore implements Source.
-func (r *Replayer) Restore(st *checkpoint.GeneratorState) error {
+func (r *Replayer) Restore(st *GeneratorState) error {
 	rs := st.Replay
 	if rs == nil {
-		return fmt.Errorf("%w: snapshot was not taken from a trace replayer", checkpoint.ErrMismatch)
+		return errors.New("snapshot was not taken from a trace replayer")
 	}
 	n := len(r.trace.Entries)
 	if rs.Cursor < 0 || rs.Cursor > n || len(rs.Delivered) != (n+63)/64 {
-		return fmt.Errorf("%w: snapshot cursor does not fit this trace (%d entries)", checkpoint.ErrMismatch, n)
+		return fmt.Errorf("snapshot cursor does not fit this trace (%d entries)", n)
 	}
 	r.cursor = rs.Cursor
 	copy(r.delivered, rs.Delivered)
-	r.pending = r.pending[:0]
 	for _, p := range rs.Pending {
 		if p.Entry < 0 || p.Entry >= n {
-			return fmt.Errorf("%w: pending entry %d outside trace", checkpoint.ErrMismatch, p.Entry)
+			return fmt.Errorf("pending entry %d outside trace", p.Entry)
 		}
-		r.pending = append(r.pending, replayRelease{entry: p.Entry, at: p.At})
 	}
+	r.pending = append(r.pending[:0], rs.Pending...)
 	r.waiting = make(map[int64][]int)
 	r.nwaiting = 0
 	for _, w := range rs.Waiting {
 		if w < 0 || w >= n {
-			return fmt.Errorf("%w: waiting entry %d outside trace", checkpoint.ErrMismatch, w)
+			return fmt.Errorf("waiting entry %d outside trace", w)
 		}
 		dep := r.trace.Entries[w].Dep
 		if dep == packet.NoDep {
-			return fmt.Errorf("%w: waiting entry %d has no dependency", checkpoint.ErrMismatch, w)
+			return fmt.Errorf("waiting entry %d has no dependency", w)
 		}
 		r.waiting[dep] = append(r.waiting[dep], w)
 		r.nwaiting++
@@ -235,7 +235,7 @@ func (r *Replayer) Restore(st *checkpoint.GeneratorState) error {
 	r.inflight = make(map[uint64]int, len(rs.InFlight))
 	for _, fl := range rs.InFlight {
 		if fl.Entry < 0 || fl.Entry >= n {
-			return fmt.Errorf("%w: in-flight entry %d outside trace", checkpoint.ErrMismatch, fl.Entry)
+			return fmt.Errorf("in-flight entry %d outside trace", fl.Entry)
 		}
 		r.inflight[fl.Pkt] = fl.Entry
 	}

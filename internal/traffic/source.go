@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"chipletnet/internal/checkpoint"
 	"chipletnet/internal/packet"
 	"chipletnet/internal/router"
 )
@@ -30,8 +29,8 @@ type Source interface {
 	// Snapshot captures the source's cursor state for a checkpoint;
 	// Restore lays it back onto a source freshly constructed from the
 	// same configuration.
-	Snapshot() checkpoint.GeneratorState
-	Restore(st *checkpoint.GeneratorState) error
+	Snapshot() GeneratorState
+	Restore(st *GeneratorState) error
 }
 
 var (
