@@ -69,16 +69,22 @@ fuzz:
 # test-dse runs the design-space-exploration matrix under the race
 # detector — enumeration/pruning determinism, the verify pre-flight
 # rejections and the GOMAXPROCS-independent plan, store round-trip,
-# crash tolerance and single-file refusal, the Evaluate chunk loop
+# crash tolerance and single-file refusal, the persisted pre-flight
+# verdicts (reopen, damage, version skew, concurrent plans), the
+# Evaluate chunk loop
 # (GOMAXPROCS-independent records, stopping between chunks), the
 # cold-then-warm byte-identical-report gate, the command-line parsers
 # chipletdse binds its flags with (cmd/internal/cli, shared by every
 # command) — then the parallel certification pool
-# (VerifyEach) and the certifier's pinned output (TestCertificateGolden),
-# plus the Pareto-frontier invariant fuzz seed corpus.
+# (VerifyEach), the certifier's pinned output (TestCertificateGolden),
+# the pinned certificate address and verify.Version
+# (TestCertificateDeterministic, TestVersionPinsCertifier), the
+# completeness of the routing-structure key verdicts are stored under
+# (TestRoutingStructureKeyComplete), plus the Pareto-frontier invariant
+# fuzz seed corpus.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/internal/cli
-	$(GO) test -race -run 'VerifyEach|CertificateGolden' . ./internal/verify
+	$(GO) test -race -run 'VerifyEach|CertificateGolden|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify
 	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:

@@ -129,6 +129,7 @@ func main() {
 	cli.Logf("%d candidates enumerated: %d statically pruned, %d rejected by verify pre-flight, %d verified",
 		len(plan.Candidates)+len(plan.Rejected), len(plan.Pruned), len(plan.Rejected), len(plan.Candidates))
 	cli.Logf("%d cache hits, %d to simulate", len(plan.Hits), len(plan.Pending))
+	cli.Logf("%d routing structures certified, %d pre-flight verdicts from the cache", plan.Certifications, plan.StoredVerdicts)
 	if *verbose {
 		for _, p := range plan.Pruned {
 			cli.Logf("  pruned   %s: %s", p.Name, p.Reason)

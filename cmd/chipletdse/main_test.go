@@ -124,7 +124,29 @@ func TestMergeMigratesSingleFileCache(t *testing.T) {
 	if code != 0 || !strings.Contains(stderr, " 0 to simulate") {
 		t.Fatalf("run on the migrated cache: exit %d, want 0 with nothing to simulate; stderr:\n%s", code, stderr)
 	}
+	if !strings.Contains(stderr, " 0 pre-flight verdicts from the cache") {
+		t.Errorf("-merge copies records only, yet the migrated cache served verdicts; stderr:\n%s", stderr)
+	}
 	if got != want {
 		t.Errorf("report from the migrated cache differs from the original:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSecondRunCertifiesNothing: a second chipletdse process on the same
+// -cache directory takes every pre-flight verdict from the cache the
+// first one wrote, certifies no routing structure, and prints the same
+// report.
+func TestSecondRunCertifiesNothing(t *testing.T) {
+	explore := "-chiplets 4 -topologies mesh,hypercube -routing mfr,adaptive -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -json -cache " + t.TempDir() + "/"
+	want, stderr, code := run(t, explore)
+	if code != 0 || !strings.Contains(stderr, "6 routing structures certified, 0 pre-flight verdicts from the cache") {
+		t.Fatalf("cold run: exit %d, want 0 certifying all 6 structures; stderr:\n%s", code, stderr)
+	}
+	got, stderr, code := run(t, explore)
+	if code != 0 || !strings.Contains(stderr, "0 routing structures certified, 6 pre-flight verdicts from the cache") {
+		t.Fatalf("warm run: exit %d, want 0 certifying nothing; stderr:\n%s", code, stderr)
+	}
+	if got != want {
+		t.Errorf("warm report differs from the cold one:\n got %s\nwant %s", got, want)
 	}
 }

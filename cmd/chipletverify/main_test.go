@@ -77,11 +77,8 @@ func TestRejectsEqualChannelNDMesh(t *testing.T) {
 
 // TestJSONCertificateHash: -json emits the report, the certificate and its
 // content address; the decoded certificate hashes to that address, and
-// both equal what the library computes for the same configuration.
-//
-// Certificate.Hash is a gob hash, and gob numbers types process-wide in
-// first-use order, so this test relies on the certificate being the first
-// value gob-encoded in both processes.
+// both equal what the library computes for the same configuration, in
+// another process.
 func TestJSONCertificateHash(t *testing.T) {
 	out, stderr, code := run(t, "-topology hypercube -dims 3 -json")
 	if code != 0 {

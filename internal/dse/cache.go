@@ -90,14 +90,22 @@ var ErrSingleFile = errors.New("dse: store path is a single-file cache")
 // Store is the content-addressed evaluation store: a map from candidate
 // key to Record in ShardN shards by key prefix (ShardIndex), each an
 // append-only JSONL file fsynced after every record (jsonl.Appender), or
-// memory-only. OpenStore drops a torn final line (a crash mid-append) and
-// quarantines any other corrupt line to a .rej sidecar, keeping the later
-// valid entries (see internal/jsonl); a later entry for a key overrides
-// an earlier one. Merge unions stores populated on different machines.
-// Store is safe for concurrent use; each shard has its own lock.
+// memory-only. Beside the shards it keeps the pre-flight verdicts NewPlan
+// took, one per routing structure, in a verdict file appended once per
+// plan, so a later plan — in this process or another — certifies only
+// the structures the store has never seen. OpenStore drops a torn final
+// line (a crash mid-append) and quarantines any other corrupt line to a
+// .rej sidecar, keeping the later valid entries (see internal/jsonl); a
+// later entry for a key overrides an earlier one. Merge unions the
+// records of stores populated on different machines. Store is safe for
+// concurrent use; each shard, and the verdicts, have their own lock.
 type Store struct {
 	shards      [ShardN]shard
 	quarantined int // corrupt lines moved to .rej sidecars at open
+
+	verdictMu  sync.Mutex      // held across the append, as for a shard
+	verdictLog *jsonl.Appender // nil when memory-only
+	verdicts   map[verdictKey]verdict
 }
 
 // shard is one key-prefix slice of a Store.
@@ -108,7 +116,7 @@ type shard struct {
 }
 
 func newStore() *Store {
-	s := &Store{}
+	s := &Store{verdicts: map[verdictKey]verdict{}}
 	for i := range s.shards {
 		s.shards[i].recs = map[string]Record{}
 	}
@@ -140,6 +148,15 @@ func OpenStore(dir string) (*Store, error) {
 			s.Close() // release the shards already opened
 			return nil, fmt.Errorf("dse: store %s: %w", dir, err)
 		}
+	}
+	path := filepath.Join(dir, verdictFile)
+	err := s.loadVerdicts(path)
+	if err == nil {
+		s.verdictLog, err = jsonl.OpenAppender(path)
+	}
+	if err != nil {
+		s.Close()
+		return nil, fmt.Errorf("dse: store %s: %w", dir, err)
 	}
 	return s, nil
 }
@@ -252,12 +269,12 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Quarantined returns how many corrupt lines the open moved to .rej
-// sidecars.
+// Quarantined returns how many corrupt lines, in the shards and the
+// verdict file, the open moved to .rej sidecars.
 func (s *Store) Quarantined() int { return s.quarantined }
 
-// Close closes every shard file, joining any errors (a no-op for a
-// memory-only store).
+// Close closes every shard file and the verdict file, joining any errors
+// (a no-op for a memory-only store).
 func (s *Store) Close() error {
 	var errs []error
 	for i := range s.shards {
@@ -269,5 +286,11 @@ func (s *Store) Close() error {
 		}
 		sh.mu.Unlock()
 	}
+	s.verdictMu.Lock()
+	if s.verdictLog != nil {
+		errs = append(errs, s.verdictLog.Close())
+		s.verdictLog = nil
+	}
+	s.verdictMu.Unlock()
 	return errors.Join(errs...)
 }

@@ -16,7 +16,12 @@
 //     pre-flight over the statically feasible candidates and rejects
 //     deadlock-prone designs (e.g. the equal-channel nD-mesh mode)
 //     before a single cycle is simulated, then splits the survivors
-//     into cache hits and pending evaluations.
+//     into cache hits and pending evaluations. The pre-flight runs once
+//     per distinct routing structure per Store: the store keeps every
+//     verdict, keyed by chipletnet.RoutingStructureKey, the pre-flight
+//     bounds and verify.Version, so a later plan — in this process or
+//     another on the same store directory — certifies only structures
+//     the store has never seen.
 //  3. Evaluate measures the pending candidates on the cycle engine —
 //     per candidate a zero-load probe for latency and transport energy
 //     plus a rate ladder for the sustainable injection rate — in chunks

@@ -225,28 +225,32 @@ func TestNewPlanAcrossGOMAXPROCS(t *testing.T) {
 	if len(seed.Rejected) == 0 || len(seed.Pending) < 2 {
 		t.Fatalf("space too small: %d rejected, %d pending", len(seed.Rejected), len(seed.Pending))
 	}
-	// Cache every other verified candidate so the plan has hits too.
-	cache, err := OpenStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range seed.Pending {
-		if i%2 == 0 {
-			rec := testRecord(e.Key, e.Candidate.Name)
-			rec.Cert = e.Cert
-			if err := cache.Put(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
 	plans := map[int]*Plan{}
 	for _, procs := range []int{1, 4} {
+		// Cache every other verified candidate so the plan has hits too.
+		// Each plan gets its own store, so both certify every structure
+		// instead of the second reading the first's verdicts.
+		cache, err := OpenStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range seed.Pending {
+			if i%2 == 0 {
+				rec := testRecord(e.Key, e.Candidate.Name)
+				rec.Cert = e.Cert
+				if err := cache.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		prev := runtime.GOMAXPROCS(procs)
 		plans[procs], err = NewPlan(s, p, cache)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if plans[procs].StoredVerdicts != 0 {
+			t.Fatalf("GOMAXPROCS %d: %d verdicts from a store that holds none", procs, plans[procs].StoredVerdicts)
 		}
 	}
 	if !reflect.DeepEqual(plans[1], plans[4]) {

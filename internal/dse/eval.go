@@ -348,6 +348,13 @@ type Plan struct {
 	Hits []Record
 	// Pending are the verified candidates with no cache entry.
 	Pending []Eval
+
+	// Certifications counts the distinct routing structures this plan
+	// sent through the certifier; StoredVerdicts those whose pre-flight
+	// verdict came from the store instead. They say how the plan was
+	// made, not what it holds, and stay out of the reports.
+	Certifications int
+	StoredVerdicts int
 }
 
 // preflightOptions bounds the static analysis. Design-space systems are
@@ -358,9 +365,13 @@ var preflightOptions = verify.Options{MaxDests: 16, MaxSources: 8}
 // NewPlan enumerates the space, statically verifies every feasible
 // candidate's routing (rejecting deadlock-prone designs with the
 // verifier's witness), and partitions the survivors into cache hits and
-// pending evaluations. Each distinct routing structure is analyzed once;
-// the analyses run in parallel through chipletnet.VerifyEach, and the
-// plan is independent of GOMAXPROCS. NewPlan itself runs no simulation.
+// pending evaluations. Each distinct routing structure is analyzed once
+// per store: a verdict cache already holds is reused, the rest are
+// certified in parallel through chipletnet.VerifyEach and their verdicts
+// appended to the store in one write. A build failure is not a verdict
+// and is retried by the next plan. The plan is independent of GOMAXPROCS
+// and of which verdicts came from the store. NewPlan itself runs no
+// simulation.
 func NewPlan(s Space, p Params, cache *Store) (*Plan, error) {
 	p = p.normalize()
 	cands, pruned, err := s.Enumerate(p)
@@ -373,42 +384,59 @@ func NewPlan(s Space, p Params, cache *Store) (*Plan, error) {
 	}
 	plan := &Plan{Space: norm, Params: p, Pruned: pruned}
 
-	// Certify each distinct routing structure once, in first-seen order,
-	// as one batch on the module root's worker pool.
-	slot := make([]int, len(cands)) // candidate -> index into structs
-	first := map[string]int{}       // routing structure -> index into structs
-	var structs []chipletnet.Config
+	// Collect each distinct routing structure in first-seen order and take
+	// its verdict from the store when it has one.
+	slot := make([]int, len(cands)) // candidate -> index into keys
+	first := map[string]int{}       // routing structure -> index into keys
+	var keys []verdictKey
+	var verdicts []verdict
+	var missCfgs []chipletnet.Config
+	var miss []int // indices into keys of the structures to certify
 	for i, cand := range cands {
 		rk := chipletnet.RoutingStructureKey(cand.Cfg)
 		j, seen := first[rk]
 		if !seen {
-			j = len(structs)
+			j = len(keys)
 			first[rk] = j
-			structs = append(structs, cand.Cfg)
+			k := verdictKey{Structure: rk, MaxDests: preflightOptions.MaxDests, MaxSources: preflightOptions.MaxSources}
+			v, ok := cache.lookupVerdict(k)
+			if !ok {
+				miss = append(miss, j)
+				missCfgs = append(missCfgs, cand.Cfg)
+			}
+			keys = append(keys, k)
+			verdicts = append(verdicts, v)
 		}
 		slot[i] = j
 	}
-	reps, errs := chipletnet.VerifyEach(structs, preflightOptions)
+	plan.Certifications, plan.StoredVerdicts = len(miss), len(keys)-len(miss)
 
-	type verdict struct {
-		reason string // "" when the pre-flight certified the structure
-		cert   string // certificate content address (also for failures)
-	}
-	verdicts := make([]verdict, len(structs))
-	for j, rep := range reps {
+	// Certify the rest as one batch on the module root's worker pool.
+	reps, errs := chipletnet.VerifyEach(missCfgs, preflightOptions)
+	var newKeys []verdictKey
+	var newVerdicts []verdict
+	for m, j := range miss {
+		rep := reps[m]
 		switch {
-		case errs[j] != nil:
-			verdicts[j] = verdict{reason: fmt.Sprintf("build failed: %v", errs[j])}
+		case errs[m] != nil:
+			verdicts[j] = verdict{Reason: fmt.Sprintf("build failed: %v", errs[m])}
+			continue
 		case rep.Err() != nil:
-			verdicts[j] = verdict{reason: rep.Err().Error(), cert: rep.Certificate().Hash()}
+			verdicts[j] = verdict{Reason: rep.Err().Error(), Cert: rep.Certificate().Hash()}
 		default:
-			verdicts[j] = verdict{cert: rep.Certificate().Hash()}
+			verdicts[j] = verdict{Cert: rep.Certificate().Hash()}
 		}
+		newKeys = append(newKeys, keys[j])
+		newVerdicts = append(newVerdicts, verdicts[j])
 	}
+	if err := cache.putVerdicts(newKeys, newVerdicts); err != nil {
+		return nil, fmt.Errorf("dse: storing pre-flight verdicts: %w", err)
+	}
+
 	for i, cand := range cands {
 		v := verdicts[slot[i]]
-		if v.reason != "" {
-			plan.Rejected = append(plan.Rejected, Rejected{Name: cand.Name, Reason: v.reason, Cert: v.cert})
+		if v.Reason != "" {
+			plan.Rejected = append(plan.Rejected, Rejected{Name: cand.Name, Reason: v.Reason, Cert: v.Cert})
 			continue
 		}
 		plan.Candidates = append(plan.Candidates, cand)
@@ -417,7 +445,7 @@ func NewPlan(s Space, p Params, cache *Store) (*Plan, error) {
 			plan.Hits = append(plan.Hits, rec)
 			continue
 		}
-		plan.Pending = append(plan.Pending, Eval{Candidate: cand, Params: p, Key: key, Cert: v.cert})
+		plan.Pending = append(plan.Pending, Eval{Candidate: cand, Params: p, Key: key, Cert: v.Cert})
 	}
 	return plan, nil
 }

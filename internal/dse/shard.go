@@ -54,6 +54,10 @@ var ErrConflict = errors.New("dse: merge conflict")
 // exploration against the union yields reports byte-identical to a
 // single-machine run — the property the daemon's distributed campaigns
 // rest on.
+//
+// Merge copies records only, not pre-flight verdicts: a verdict is cheap
+// to retake, and the first plan against dst certifies whatever
+// structures it has not seen and stores their verdicts then.
 func Merge(dst *Store, srcs ...*Store) (added int, err error) {
 	for si, src := range srcs {
 		for _, rec := range src.Records() {

@@ -1,9 +1,9 @@
 // Package jsonl is the shared loader for the repository's append-only
-// JSONL stores (the DSE evaluation cache shards, the daemon job journal,
-// the coordinator lease journal, the experiment campaign journal) and
-// for imported external traces. The stores follow the same crash-safety
-// idiom — append one line, fsync, return — so they share one damage
-// model and one repair:
+// JSONL stores (the DSE evaluation cache shards and verdict file, the
+// daemon job journal, the coordinator lease journal, the experiment
+// campaign journal) and for imported external traces. The stores follow
+// the same crash-safety idiom — append a line or a batch of lines, fsync,
+// return — so they share one damage model and one repair:
 //
 //   - A final line without a trailing newline is the signature of a crash
 //     mid-append. The entry was never acknowledged, so it is dropped.
@@ -32,11 +32,14 @@ import (
 
 // Appender is the durable write handle of a JSONL store: each Append
 // writes one line and fsyncs it before returning, so an acknowledged
-// entry survives any crash that follows. Appends are never batched — a
-// crash loses at most the line being written, which Load then drops as a
-// torn tail. Appender is safe for concurrent use; a store that also keeps
-// an in-memory index holds its own lock across Append so the file order
-// and the index order agree.
+// entry survives any crash that follows; AppendAll does the same for
+// several lines with one write and one fsync. A crash mid-write loses
+// only the tail of what was being written: whole lines that reached the
+// file before the cut load normally, and Load drops the torn final line,
+// so neither a line nor a batch is ever acknowledged and then lost.
+// Appender is safe for concurrent use; a store that also keeps an
+// in-memory index holds its own lock across Append so the file order and
+// the index order agree.
 type Appender struct {
 	mu   sync.Mutex
 	path string
@@ -61,9 +64,18 @@ func openAppend(path string) (*os.File, error) {
 
 // Append writes line and a newline in one write, then fsyncs.
 func (a *Appender) Append(line []byte) error {
+	return a.AppendAll([][]byte{line})
+}
+
+// AppendAll writes every line, each with its newline, in one write, then
+// fsyncs once: the batch costs one fsync however many lines it holds.
+func (a *Appender) AppendAll(lines [][]byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.buf = append(append(a.buf[:0], line...), '\n')
+	a.buf = a.buf[:0]
+	for _, line := range lines {
+		a.buf = append(append(a.buf, line...), '\n')
+	}
 	if _, err := a.f.Write(a.buf); err != nil {
 		return err
 	}
@@ -180,11 +192,9 @@ func quarantine(path string, lines [][]byte) error {
 	if err != nil {
 		return err
 	}
-	for _, line := range fresh {
-		if err := a.Append(line); err != nil {
-			a.Close()
-			return err
-		}
+	if err := a.AppendAll(fresh); err != nil {
+		a.Close()
+		return err
 	}
 	return a.Close()
 }

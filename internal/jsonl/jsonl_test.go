@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -225,6 +226,39 @@ func TestAppendSurvivesReopen(t *testing.T) {
 	}
 	if got, _ := loadEntries(t, path); len(got) != 3 || got[2] != (entry{"c", 3}) {
 		t.Errorf("after reopen loaded %v, want [a b c]", got)
+	}
+}
+
+// TestAppendAllTornBatch: AppendAll writes its lines back to back, and a
+// crash that cuts the batch's one write short loses only its tail: Load
+// keeps every whole line before the cut and drops the torn one.
+func TestAppendAllTornBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	a := openAppender(t, path)
+	appendLine(t, a, `{"K":"a","V":1}`)
+	batch := [][]byte{[]byte(`{"K":"b","V":2}`), []byte(`{"K":"c","V":3}`), []byte(`{"K":"d","V":4}`)}
+	if err := a.AppendAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := readFile(t, path)
+	if want := `{"K":"a","V":1}` + "\n" + `{"K":"b","V":2}` + "\n" + `{"K":"c","V":3}` + "\n" + `{"K":"d","V":4}` + "\n"; full != want {
+		t.Fatalf("store = %q, want %q", full, want)
+	}
+	for _, tc := range []struct {
+		cut  int // bytes kept
+		want []entry
+	}{
+		{len(full) - 3, []entry{{"a", 1}, {"b", 2}, {"c", 3}}},
+		{len(`{"K":"a","V":1}` + "\n" + `{"K":"b"`), []entry{{"a", 1}}},
+	} {
+		write(t, path, full[:tc.cut])
+		got, q := loadEntries(t, path)
+		if !reflect.DeepEqual(got, tc.want) || q != 0 {
+			t.Errorf("batch cut after %d bytes loaded %v (quarantined %d), want %v", tc.cut, got, q, tc.want)
+		}
 	}
 }
 

@@ -714,6 +714,8 @@ func (s *Server) executeDSE(ctx context.Context, job *Job) (json.RawMessage, err
 	if err != nil {
 		return nil, err
 	}
+	s.logf("job %s: %d routing structures certified, %d pre-flight verdicts from the cache; %d cache hits, %d to simulate",
+		job.ID, plan.Certifications, plan.StoredVerdicts, len(plan.Hits), len(plan.Pending))
 	total := len(plan.Candidates)
 	s.setProgress(job, len(plan.Hits), total)
 	s.countCacheHits(len(plan.Hits))

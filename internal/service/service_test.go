@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,6 +286,39 @@ func TestDSEJobWarmResubmitIsAllCacheHits(t *testing.T) {
 	}
 	if again.Simulated != 0 {
 		t.Errorf("post-restart DSE simulated %d candidates, want 0", again.Simulated)
+	}
+}
+
+// TestDSEJobReopenedDirCertifiesNothing: a DSE job on a daemon reopened
+// over the same state directory takes every pre-flight verdict from the
+// cache the first daemon wrote and certifies no routing structure.
+func TestDSEJobReopenedDirCertifiesNothing(t *testing.T) {
+	dir := t.TempDir()
+	for i, want := range []string{
+		"2 routing structures certified, 0 pre-flight verdicts from the cache",
+		"0 routing structures certified, 2 pre-flight verdicts from the cache",
+	} {
+		var mu sync.Mutex
+		var logs []string
+		s := openTestServer(t, Config{Dir: dir, Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+		job, err := s.Submit(tinySpec())
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if done := waitStatus(t, s, job.ID, StatusDone, StatusFailed); done.Status != StatusDone {
+			t.Fatalf("dse job %d failed: %s", i, done.Error)
+		}
+		s.Close()
+		mu.Lock()
+		all := strings.Join(logs, "\n")
+		mu.Unlock()
+		if !strings.Contains(all, want) {
+			t.Errorf("daemon %d: log lacks %q:\n%s", i, want, all)
+		}
 	}
 }
 

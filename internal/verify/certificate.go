@@ -1,13 +1,22 @@
 package verify
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 )
+
+// Version names what the certifier proves and how its certificates are
+// addressed: the obligations, their witnesses and bases, and Hash's
+// encoding. Anything that stores a verdict outside the process (the DSE
+// store's verdict file) keys it by Version, so a verdict taken by another
+// certifier is never reused. Bump it in the same change as anything that
+// alters a certificate or a pre-flight verdict — an obligation, the
+// routing functions it analyzes, or the hash encoding;
+// TestVersionPinsCertifier fails until the bump is made.
+const Version = 1
 
 // Obligation is one proof obligation of the certifying traversal: what was
 // to be proved, whether it holds, the basis the verdict rests on, and the
@@ -127,9 +136,9 @@ func (r *Report) Certificate() *Certificate {
 				Witnesses: livelock,
 			},
 			{
-				Name:   "vc-discipline",
-				Proved: len(r.VCViolations) == 0,
-				Basis: "candidate masks and escape VCs within the configured range, escape VC class monotone within each chiplet (Theorem 1)",
+				Name:      "vc-discipline",
+				Proved:    len(r.VCViolations) == 0,
+				Basis:     "candidate masks and escape VCs within the configured range, escape VC class monotone within each chiplet (Theorem 1)",
 				Witnesses: append([]string(nil), r.VCViolations...),
 			},
 		},
@@ -146,16 +155,20 @@ func (r *Report) Certificate() *Certificate {
 	return c
 }
 
-// Hash is the certificate's content address: the hex SHA-256 of its
-// canonical gob encoding. Two runs over the same built system produce the
-// same hash (the traversal and witness ordering are deterministic), so the
-// hash keys certified-table caches and DSE pruning records.
+// Hash is the certificate's content address: the hex SHA-256 of its JSON
+// encoding. Two runs over the same built system produce the same hash
+// (the traversal and witness ordering are deterministic), so the hash
+// keys DSE records and the DSE store's persisted verdicts. JSON — not
+// gob — because gob numbers struct types process-wide in first-use order,
+// so a gob hash depends on what the process encoded before; JSON writes
+// fields in declaration order and Certificate holds no maps, so the
+// address is the same in every process (the dse.Key idiom).
 func (c *Certificate) Hash() string {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+	b, err := json.Marshal(c)
+	if err != nil {
 		panic(fmt.Sprintf("verify: certificate not encodable: %v", err))
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 

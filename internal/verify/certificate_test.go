@@ -11,9 +11,16 @@ import (
 	"chipletnet/internal/verify"
 )
 
+// hypercube4Hash is the content address of the hypercube-4 fixture's
+// certificate. It pins Hash's encoding: a return to gob, or any other
+// change to how a certificate is addressed, moves it — and such a change
+// needs a verify.Version bump.
+const hypercube4Hash = "59fe1eec37ca38003ee4f612c3bbb44f4ad4b5b7300b0d1bcb6f87966a292d95"
+
 // TestCertificateDeterministic: two independent runs over the same built
-// system must produce byte-identical certificates — the content address is
-// what keys certified-table caches and DSE pruning records.
+// system must produce byte-identical certificates with the pinned content
+// address — the address keys DSE records and the DSE store's persisted
+// verdicts, which other processes read.
 func TestCertificateDeterministic(t *testing.T) {
 	hash := func() string {
 		sys := build(t, "hypercube-4")
@@ -36,8 +43,12 @@ func TestCertificateDeterministic(t *testing.T) {
 		}
 		return cert.Hash()
 	}
-	if a, b := hash(), hash(); a != b {
+	a, b := hash(), hash()
+	if a != b {
 		t.Errorf("certificate hash not deterministic: %s vs %s", a, b)
+	}
+	if a != hypercube4Hash {
+		t.Errorf("hypercube-4 certificate hash %s, pinned %s: the certificate or its encoding moved (bump verify.Version and re-pin)", a, hypercube4Hash)
 	}
 }
 
@@ -60,7 +71,7 @@ func TestCertificateAborted(t *testing.T) {
 }
 
 // FuzzCertificateRoundTrip: a certificate must survive its two wire
-// encodings — gob (the Hash content address) and JSON (the chipletverify
+// encodings — gob and JSON (the Hash content address and the chipletverify
 // export) — with its content address intact.
 func FuzzCertificateRoundTrip(f *testing.F) {
 	f.Add("hypercube", "duato-escape", 16, 12, 4096, 9, true, "")

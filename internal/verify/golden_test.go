@@ -280,3 +280,42 @@ func TestCertificateGolden(t *testing.T) {
 		t.Errorf("certifier output moved (%d cases); changed or missing entries:\n%s", len(got), diff.String())
 	}
 }
+
+// goldenDigests holds, per verify.Version, the digest of
+// certificateGolden that version was released with. A change that moves
+// the golden — an obligation, a witness, a pre-flight verdict of the DSE
+// space — changes what a stored verdict means, so it must come with a
+// new Version and a new entry here; old entries stay as the record of
+// what each version certified.
+var goldenDigests = map[int]string{
+	1: "97d17bc1109c34e11433518dd945105ce2b8a32fdf9cfd3e3838117e58f31006",
+}
+
+// goldenDigest hashes certificateGolden in sorted name order.
+func goldenDigest() string {
+	names := make([]string, 0, len(certificateGolden))
+	for name := range certificateGolden {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %s\n", name, certificateGolden[name])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestVersionPinsCertifier: verify.Version names the golden the
+// certifier currently produces (TestCertificateGolden checks that the
+// golden matches the certifier), so persisted verdicts from another
+// certifier can never be mistaken for this one's.
+func TestVersionPinsCertifier(t *testing.T) {
+	got := goldenDigest()
+	want, ok := goldenDigests[verify.Version]
+	switch {
+	case !ok:
+		t.Errorf("verify.Version %d has no pinned golden digest; add %d: %q to goldenDigests", verify.Version, verify.Version, got)
+	case got != want:
+		t.Errorf("certificateGolden moved (digest %s, pinned %s for version %d): bump verify.Version and pin the new digest", got, want, verify.Version)
+	}
+}
