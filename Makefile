@@ -45,7 +45,10 @@ test-checkpoint:
 # fault schedules), cross-engine checkpoint interchange (islands
 # snapshots resume under active and vice versa), the in-package engine
 # table (active and islands K in {1,2,3}, traced and untraced, against
-# the reference), the seed corpora of the engine-equivalence and
+# the reference), the per-port wait-set invariants
+# (ActiveSetMasksMatchState, VCAllocateScanOrder: all three engines
+# share that walk, so the reference cannot check it), the seed
+# corpora of the engine-equivalence and
 # island-partition fuzz targets (the -run pattern matches both), and the
 # islands GOMAXPROCS determinism golden test (the islands barrier is the
 # first intra-run concurrency in the core engine, so the whole matrix
@@ -55,7 +58,7 @@ test-checkpoint:
 # CompiledRefusesUncertified tests match the EngineEquivalence pattern by
 # substring.
 test-equiv:
-	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ActiveSetMatchesReference|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism' . ./internal/router
+	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ActiveSetMatchesReference|ActiveSetMasksMatchState|VCAllocateScanOrder|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism' . ./internal/router
 	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|AuditCredits' ./internal/router
 
 # fuzz runs 30-second coverage-guided searches of the engine-equivalence

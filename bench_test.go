@@ -243,3 +243,55 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 	total := float64(b.N) * float64(cfg.WarmupCycles+cfg.MeasureCycles) * float64(routers)
 	b.ReportMetric(total/b.Elapsed().Seconds(), "router-cycles/s")
 }
+
+// benchSimulate times Simulate alone (Build runs with the timer stopped)
+// on one configuration and reports the cycle loop's throughput in
+// router-cycles per second plus its allocations, so that
+//
+//	go test -run '^$' -bench SimulateSingle -benchmem -cpuprofile cpu.out
+//
+// profiles the loop directly. The two shapes are the single-idle and
+// single-loaded workloads of bench/ (see bench/README.md).
+func benchSimulate(b *testing.B, topo chipletnet.Topology, rate float64, warm, meas int64) {
+	cfg := chipletnet.DefaultConfig()
+	cfg.Topology = topo
+	cfg.InjectionRate = rate
+	cfg.WarmupCycles = warm
+	cfg.MeasureCycles = meas
+	chiplets, err := topo.NumChiplets()
+	if err != nil {
+		b.Fatal(err)
+	}
+	routers := chiplets * cfg.ChipletW * cfg.ChipletH
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := chipletnet.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := sys.Simulate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Deadlocked {
+			b.Fatal("deadlocked")
+		}
+	}
+	total := float64(b.N) * float64(warm+meas) * float64(routers)
+	b.ReportMetric(total/b.Elapsed().Seconds(), "router-cycles/s")
+}
+
+// BenchmarkSimulateSingleIdle is the single-idle shape: 64 chiplets at
+// 0.05 load, where almost every router idles.
+func BenchmarkSimulateSingleIdle(b *testing.B) {
+	benchSimulate(b, chipletnet.HypercubeTopology(6), 0.05, 4000, 36000)
+}
+
+// BenchmarkSimulateSingleLoaded is the single-loaded shape: 256 chiplets
+// at 0.30 load, where most routers are busy.
+func BenchmarkSimulateSingleLoaded(b *testing.B) {
+	benchSimulate(b, chipletnet.HypercubeTopology(8), 0.30, 100, 500)
+}

@@ -51,7 +51,7 @@
 //     grants == 0, which means every VC is vcIdle with an empty queue;
 //     vcAllocate early-returns without touching vaOffset (the fairness
 //     rotation must NOT advance for skipped routers) and
-//     switchAllocate scans empty grant lists and does nothing. A link
+//     switchAllocate finds no output with a grant. A link
 //     leaves the active set only when pendingWork() is false (no
 //     flits, credits, acks, or replay entries), making deliver a
 //     guaranteed no-op.
@@ -75,19 +75,40 @@
 // bit-sets in bitmaps each written by one island only), so the parallel
 // schedule is unobservable.
 //
-// The active sets are derived state: Snapshot does not record them and
-// Restore rebuilds them (rebuildActive), so checkpoint files are
-// byte-identical regardless of the engine that produced or consumes
-// them. The island partition, classification, and mailboxes are derived
-// the same way — a checkpoint taken under one engine resumes under any
-// other.
+// Inside a router the same idea applies one level down, shared by all
+// three engines: each input port's wait-set has one bit per VC in route
+// computation/VA, and vcAllocate visits, in the rotated port order, only
+// those VCs, ascending — exactly what a full scan of the VCs would try —
+// and stops after the last waiting VC (the router's waiting count).
+// switchAllocate likewise skips outputs with empty grant lists and stops
+// after the last output holding a grant (the grants count). Because the
+// reference engine runs the same router walks, it cannot catch a
+// wait-set bug; TestActiveSetMasksMatchState (the wait-sets equal the VC
+// states after every cycle and after Restore) and TestVCAllocateScanOrder
+// (walk order) do.
+//
+// The active sets and wait-sets are derived state: Snapshot does not
+// record them and Restore rebuilds them (rebuildActive), so checkpoint
+// files are byte-identical regardless of the engine that produced or
+// consumes them. The island partition, classification, and mailboxes
+// are derived the same way — a checkpoint taken under one engine resumes
+// under any other.
+//
+// # Queue footprint
+//
+// Every queue (VC buffers, link flit/credit/ack pipelines, replay
+// windows) is a power-of-two ring fifo that grows only when full, so its
+// storage is bounded by its peak occupancy: a link's flit ring never
+// exceeds nextPow2(max(4, Latency)) slots (TestLinkFlitRingFootprint).
+// The cycle loop is bound by memory access, so this density is most of
+// its speed.
 //
 // # Zero-alloc policy
 //
 // The steady-state cycle loop (Step on a warmed-up fabric, audits
 // included) must not allocate: per-cycle scratch lives on the Fabric
 // (AuditCredits buffers) or the VC (routing-candidate buffers), queues
-// are ring-style fifos that reach a stable capacity, and sorting inside
+// are ring fifos that reach a stable capacity, and sorting inside
 // routing algorithms must use in-place insertion sorts (sort.Slice
 // allocates). TestStepSteadyStateZeroAlloc in this package enforces the
 // policy with testing.AllocsPerRun.

@@ -124,10 +124,10 @@ func (f *Fabric) transmit(act, skip []uint64, now int64) bool {
 	return moved
 }
 
-// rebuildActive reconstructs the active sets and the per-router grants
-// counters from the fabric's current state. The active sets are derived
-// state — they are deliberately not checkpointed; Restore calls this
-// after laying snapshot state onto the fabric.
+// rebuildActive reconstructs the active sets and each router's counters
+// and wait-set (rebuildDerived) from the fabric's current state. All of
+// them are derived state — deliberately not checkpointed; Restore calls
+// this after laying snapshot state onto the fabric.
 func (f *Fabric) rebuildActive() {
 	clear(f.routerActive)
 	clear(f.linkActive)
@@ -140,10 +140,7 @@ func (f *Fabric) rebuildActive() {
 		f.isl.classify(f)
 	}
 	for _, r := range f.Routers {
-		r.grants = 0
-		for _, o := range r.Out {
-			r.grants += len(o.granted)
-		}
+		r.rebuildDerived()
 		if r.busy() {
 			f.wakeRouter(r)
 		}

@@ -2,9 +2,11 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"chipletnet/internal/packet"
+	"chipletnet/internal/rng"
 )
 
 // delivery is one sink event: which packet ejected at which cycle.
@@ -241,5 +243,145 @@ func TestAuditCreditsDoesNotAllocateAfterWarmup(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AuditCredits allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// checkMasks compares every input port's wait-set with the set of its
+// VCs in vcRouting and the router's waiting and grants counters (which
+// end the allocators' scans) with the VC states and grant lists, and
+// checks that every router with a waiting or granted VC is in the
+// engine's active set.
+func checkMasks(t *testing.T, f *Fabric, when string) {
+	t.Helper()
+	active, _ := f.ActiveSets()
+	for _, r := range f.Routers {
+		waiting, grants := 0, 0
+		for _, o := range r.Out {
+			grants += len(o.granted)
+		}
+		for _, ip := range r.In {
+			waiting += bits.OnesCount32(ip.waitSet)
+			var want uint32
+			for _, v := range ip.VCs {
+				if v.state == vcRouting {
+					want |= 1 << uint(v.Index)
+				}
+			}
+			if ip.waitSet != want {
+				t.Fatalf("%s: router %d port %d wait-set %b, VCs in routing %b", when, r.Node, ip.Index, ip.waitSet, want)
+			}
+		}
+		if r.waiting != waiting || r.grants != grants {
+			t.Fatalf("%s: router %d counts %d waiting / %d grants, state has %d / %d", when, r.Node, r.waiting, r.grants, waiting, grants)
+		}
+		if r.busy() && active[r.idx>>6]&(1<<uint(r.idx&63)) == 0 {
+			t.Fatalf("%s: busy router %d is not in the active set", when, r.Node)
+		}
+	}
+}
+
+// TestActiveSetMasksMatchState checks the derived masks — each input
+// port's wait-set, and the active set's cover of busy routers — after
+// every cycle of a randomized backlog on a line of 32-VC ports, under the active engine and the
+// islands engine at K = 2, and right after Restore rewinds the busy
+// fabric to a snapshot taken 50 cycles earlier, whose masks differ.
+func TestActiveSetMasksMatchState(t *testing.T) {
+	for _, e := range []engine{activeEngine, {"islands-2", false, 2}} {
+		t.Run(e.name, func(t *testing.T) {
+			const n = 6
+			f := buildLine(n, maxPortVCs, 32, 2, 2)
+			e.apply(f)
+			f.Sink = func(*packet.Packet, int64) {}
+			f.CreditAudit = true
+			rnd := rng.New(7)
+			var st FabricState
+			var tbl *packet.Table
+			id := uint64(0)
+			for cy := 1; cy <= 300 || (f.InFlight() > 0 && cy < 20000); cy++ {
+				if cy <= 300 {
+					for k := rnd.Intn(3); k > 0; k-- {
+						src := rnd.Intn(n)
+						id++
+						f.Routers[src].Inject(mkPacket(id, src, src+rnd.Intn(n-src), 1+rnd.Intn(16), f.Now), f.Now)
+					}
+				}
+				f.Step()
+				checkMasks(t, f, fmt.Sprintf("cycle %d", f.Now))
+				switch cy {
+				case 200:
+					tbl = packet.NewTable()
+					st = f.Snapshot(tbl)
+				case 250:
+					if err := f.Restore(&st, packet.Materialize(tbl.List())); err != nil {
+						t.Fatal(err)
+					}
+					checkMasks(t, f, "after Restore")
+					live := 0
+					for _, r := range f.Routers {
+						live += r.waiting + r.grants
+					}
+					if live == 0 {
+						t.Fatal("snapshot holds no waiting or granted VC; the restore check is vacuous")
+					}
+				}
+			}
+			if f.InFlight() != 0 {
+				t.Fatalf("%d packets still in flight", f.InFlight())
+			}
+		})
+	}
+}
+
+// scanRouting records the order VC allocation visits head packets in and
+// grants nothing (its one candidate admits no VC).
+type scanRouting struct{ order *[]uint64 }
+
+func (s scanRouting) Candidates(r *Router, inPort int, p *packet.Packet, buf []Candidate) []Candidate {
+	*s.order = append(*s.order, p.ID)
+	return append(buf, Candidate{Port: 0})
+}
+
+func (scanRouting) SafeAt(*Router, int, *packet.Packet) bool { return true }
+
+// TestVCAllocateScanOrder pins the wait-set walk to the rotated port
+// order with ascending VCs that a full scan of the ports visits, at every
+// rotation. All three engines share vcAllocate, so the reference engine
+// cannot catch a wrong order.
+func TestVCAllocateScanOrder(t *testing.T) {
+	f := NewFabric()
+	r := f.NewRouter(0)
+	r.AddOutPort()
+	f.MakeEjection(r, 0, 1, 1)
+	for _, vcs := range []int{1, 3, 0, maxPortVCs, 5, 14, 2} {
+		r.AddInPort(vcs, 1<<20)
+	}
+	var order []uint64
+	f.Routing = scanRouting{&order}
+	// Every third VC holds a waiting head; packet IDs name VCs.
+	n := 0
+	for _, ip := range r.In {
+		for _, v := range ip.VCs {
+			if n%3 == 0 {
+				v.receive(mkPacket(uint64(100*ip.Index+v.Index), 0, 0, 1, 0), 1, 0)
+			}
+			n++
+		}
+	}
+	for rot := 0; rot < 2*len(r.In); rot++ {
+		var want []uint64
+		start := r.vaOffset % len(r.In)
+		for k := range r.In {
+			ip := r.In[(start+k)%len(r.In)]
+			for _, v := range ip.VCs {
+				if v.state == vcRouting {
+					want = append(want, uint64(100*ip.Index+v.Index))
+				}
+			}
+		}
+		order = order[:0]
+		r.vcAllocate(10)
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("rotation %d: visited %v, want %v", rot, order, want)
+		}
 	}
 }

@@ -38,24 +38,38 @@ func TestFifoFrontAndAt(t *testing.T) {
 	}
 }
 
+// nextPow2 returns the smallest power of two >= n (1 for n <= 1).
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
+}
+
+// TestFifoCompaction pins the ring's storage to its peak occupancy: heavy
+// push/pop churn at occupancy <= k never grows the ring past
+// max(4, nextPow2(k)) slots, and order survives the wrap-arounds. A
+// moving-head slice, which grows until its dead prefix is compacted,
+// fails the bound.
 func TestFifoCompaction(t *testing.T) {
-	var f fifo[int]
-	// Interleave pushes and pops so the head index grows and compaction
-	// triggers; order must survive.
-	next, expect := 0, 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 10; i++ {
-			f.Push(next)
-			next++
-		}
-		for i := 0; i < 9; i++ {
-			if got := f.Pop(); got != expect {
-				t.Fatalf("round %d: Pop = %d, want %d", round, got, expect)
+	for _, k := range []int{1, 3, 4, 5, 9, 33} {
+		var f fifo[int]
+		next, expect := 0, 0
+		for round := 0; round < 200; round++ {
+			for f.Len() < k {
+				f.Push(next)
+				next++
 			}
-			expect++
+			for i := 0; i < 1+round%k; i++ {
+				if got := f.Pop(); got != expect {
+					t.Fatalf("k=%d round %d: Pop = %d, want %d", k, round, got, expect)
+				}
+				expect++
+			}
 		}
-		if len(f.items) > f.Len()*3+64 {
-			t.Fatalf("fifo failed to compact: %d backing slots for %d items", len(f.items), f.Len())
+		if got, bound := len(f.buf), max(4, nextPow2(k)); got > bound {
+			t.Errorf("occupancy <= %d grew the ring to %d slots, want <= %d", k, got, bound)
 		}
 	}
 }

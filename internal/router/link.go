@@ -117,7 +117,7 @@ func (l *Link) deliver(now int64) bool {
 		if l.Rel != nil && !l.Rel.receive(l, b, now) {
 			continue // dropped: corrupted, duplicate, or out of order
 		}
-		l.Dst.receive(l.DstPort, b.vc, b.p, b.n, now)
+		l.Dst.In[l.DstPort].VCs[b.vc].receive(b.p, b.n, now)
 		moved = true
 	}
 	for l.acks.Len() > 0 && l.acks.Front().ArriveAt <= now {

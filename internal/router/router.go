@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chipletnet/internal/packet"
 )
@@ -74,7 +75,18 @@ type InPort struct {
 	Index  int
 	Link   *Link // incoming link; nil for the local injection port
 	VCs    []*VC
+
+	// waitSet has bit i set exactly when VCs[i] is in the vcRouting
+	// state, so VC allocation visits only waiting VCs. It is derived
+	// state, like the fabric's active sets: never checkpointed, rebuilt
+	// by Router.rebuildDerived.
+	waitSet uint32
 }
+
+// maxPortVCs is the VC count an input port may hold: one waitSet bit
+// each. Routing candidates name downstream VCs in a 32-bit mask too, and
+// topology.LinkParams rejects more VCs at Build.
+const maxPortVCs = 32
 
 // allSafe reports whether the VC holds at least one packet and every
 // queued packet is safe (Definition 4). Such a VC is a genuine progress
@@ -195,6 +207,25 @@ type Router struct {
 	grants int
 }
 
+// rebuildDerived recomputes the router's counters and its ports'
+// wait-sets from the VC states and grant lists (after Restore, or when an
+// engine is switched).
+func (r *Router) rebuildDerived() {
+	r.waiting, r.grants = 0, 0
+	for _, ip := range r.In {
+		ip.waitSet = 0
+		for _, v := range ip.VCs {
+			if v.state == vcRouting {
+				r.waiting++
+				ip.waitSet |= 1 << uint(v.Index)
+			}
+		}
+	}
+	for _, o := range r.Out {
+		r.grants += len(o.granted)
+	}
+}
+
 // busy reports whether the router has any non-idle VC, i.e. whether the
 // engine must visit it this cycle.
 func (r *Router) busy() bool { return r.waiting > 0 || r.grants > 0 }
@@ -202,6 +233,9 @@ func (r *Router) busy() bool { return r.waiting > 0 || r.grants > 0 }
 // AddInPort appends an input port with the given VC count and per-VC
 // capacity and returns it.
 func (r *Router) AddInPort(vcs, capFlits int) *InPort {
+	if vcs > maxPortVCs {
+		panic(fmt.Sprintf("router %d: %d VCs on one input port, at most %d", r.Node, vcs, maxPortVCs))
+	}
 	ip := &InPort{Router: r, Index: len(r.In)}
 	for i := 0; i < vcs; i++ {
 		ip.VCs = append(ip.VCs, &VC{Port: ip, Index: i, Cap: capFlits})
@@ -218,14 +252,13 @@ func (r *Router) AddOutPort() *OutPort {
 	return op
 }
 
-// receive accepts n flits of packet p into input port ip, VC vc at cycle
-// now. Called by Link.deliver and by the injection path.
-func (r *Router) receive(port, vc int, p *packet.Packet, n int, now int64) {
-	v := r.In[port].VCs[vc]
+// receive accepts n flits of packet p into VC v at cycle now. Called by
+// Link.deliver and by the injection path.
+func (v *VC) receive(p *packet.Packet, n int, now int64) {
 	v.flits += n
 	if v.flits > v.Cap {
 		panic(fmt.Sprintf("router %d: input buffer overflow at port %d vc %d (%d > %d)",
-			r.Node, port, vc, v.flits, v.Cap))
+			v.Port.Router.Node, v.Port.Index, v.Index, v.flits, v.Cap))
 	}
 	// Continuation of the packet currently streaming into this VC?
 	if v.q.Len() > 0 {
@@ -237,8 +270,8 @@ func (r *Router) receive(port, vc int, p *packet.Packet, n int, now int64) {
 	}
 	// New packet: mark safety on arrival (Definition 4) and enqueue.
 	inst := pktInst{p: p, received: n}
-	if rt := r.Fabric.Routing; rt != nil {
-		inst.safe = rt.SafeAt(r, port, p)
+	if r := v.Port.Router; r.Fabric.Routing != nil {
+		inst.safe = r.Fabric.Routing.SafeAt(r, v.Port.Index, p)
 	}
 	v.q.Push(inst)
 	if v.q.Len() == 1 {
@@ -251,7 +284,7 @@ func (r *Router) receive(port, vc int, p *packet.Packet, n int, now int64) {
 // source queue immediately; injection bandwidth is modeled by the switch
 // allocation of the injection port.
 func (r *Router) Inject(p *packet.Packet, now int64) {
-	r.receive(0, 0, p, p.Len, now)
+	r.In[0].VCs[0].receive(p, p.Len, now)
 	r.Fabric.inFlight++
 	if t := r.Fabric.Tracer; t != nil {
 		t.PacketInjected(p, r.Node, now)
@@ -267,6 +300,7 @@ func (v *VC) startHead(now int64) {
 	v.outPort = nil
 	r := v.Port.Router
 	r.waiting++
+	v.Port.waitSet |= 1 << uint(v.Index)
 	r.Fabric.wakeRouter(r)
 }
 
@@ -274,24 +308,32 @@ func (v *VC) startHead(now int64) {
 // this router. Candidates come from the routing algorithm; admission is
 // virtual cut-through (whole-packet credit) plus, when enabled, the
 // safe/unsafe flow-control policy of Algorithm 5.
+//
+// The scan visits the input ports rotated to start at vaOffset and,
+// within each port, the waiting VCs (its waitSet bits) in ascending
+// order. A grant clears only the granted VC's own bit, so iterating a
+// copy of the mask is exact.
 func (r *Router) vcAllocate(now int64) {
-	nIn := len(r.In)
-	if nIn == 0 || r.waiting == 0 {
+	if r.waiting == 0 {
 		return
 	}
+	nIn := len(r.In)
 	start := r.vaOffset % nIn
 	r.vaOffset++
-	for k := 0; k < nIn; k++ {
+	// left counts the waiting VCs not yet visited; the scan stops at the
+	// last one instead of touching the remaining ports.
+	left := r.waiting
+	for k := 0; k < nIn && left > 0; k++ {
 		ip := r.In[(start+k)%nIn]
-		for _, v := range ip.VCs {
-			if v.state != vcRouting || now < v.readyAt {
+		left -= bits.OnesCount32(ip.waitSet)
+		for w := ip.waitSet; w != 0; w &= w - 1 {
+			v := ip.VCs[bits.TrailingZeros32(w)]
+			if now < v.readyAt {
 				continue
 			}
-			h := v.head()
-			if h == nil {
-				continue
+			if h := v.head(); h != nil {
+				r.tryAllocate(v, h, now)
 			}
-			r.tryAllocate(v, h, now)
 		}
 	}
 }
@@ -324,6 +366,7 @@ func (r *Router) tryAllocate(v *VC, h *pktInst, now int64) {
 			// Grant.
 			o.Owner[vcIdx] = v
 			o.granted = append(o.granted, v)
+			v.Port.waitSet &^= 1 << uint(v.Index)
 			v.outPort = o
 			v.outVC = vcIdx
 			v.state = vcActive
@@ -369,7 +412,16 @@ func (r *Router) safeUnsafeAllows(o *OutPort, vcIdx int, p *packet.Packet) bool 
 // It reports whether any flit moved.
 func (r *Router) switchAllocate(now int64) bool {
 	moved := false
-	for _, o := range r.Out {
+	// left counts the grants on outputs not yet visited (a transfer only
+	// ever releases grants), so the scan skips outputs without grants and
+	// stops after the last output holding one.
+	left := r.grants
+	for i := 0; i < len(r.Out) && left > 0; i++ {
+		o := r.Out[i]
+		if len(o.granted) == 0 {
+			continue
+		}
+		left -= len(o.granted)
 		if r.transferOut(o, now) {
 			moved = true
 		}

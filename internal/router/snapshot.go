@@ -283,7 +283,6 @@ func (r *Router) restore(rs *RouterState, pk func(int) (*packet.Packet, error)) 
 			len(rs.In), len(rs.Out), len(r.In), len(r.Out))
 	}
 	r.vaOffset = rs.VAOffset
-	r.waiting = 0
 	for pi, ip := range r.In {
 		ps := &rs.In[pi]
 		if len(ps.VCs) != len(ip.VCs) {
@@ -315,9 +314,6 @@ func (r *Router) restore(rs *RouterState, pk func(int) (*packet.Packet, error)) 
 					return errors.New("nil packet in VC queue")
 				}
 				vc.q.Push(pktInst{p: p, received: qs.Received, sent: qs.Sent, safe: qs.Safe})
-			}
-			if vc.state == vcRouting {
-				r.waiting++
 			}
 		}
 	}
