@@ -80,14 +80,20 @@ fuzz:
 # chipletdse binds its flags with (cmd/internal/cli, shared by every
 # command) — then the parallel certification pool
 # (VerifyEach), the certifier's pinned output (TestCertificateGolden),
-# the pinned certificate address and verify.Version
-# (TestCertificateDeterministic, TestVersionPinsCertifier), the
-# completeness of the routing-structure key verdicts are stored under
-# (TestRoutingStructureKeyComplete), plus the Pareto-frontier invariant
-# fuzz seed corpus.
+# its certificate and table addresses on the five 64-chiplet
+# build-compiled systems (TestLargeSystemCertificates), its escape-walk
+# findings on walks that share suffixes (TestEscapeWalkSharedSuffix), the
+# dependencies and panic point of a continuation only pass 2 asks
+# (TestDeadEndContinuation),
+# chipletverify's pinned hypercube-2 livelock verdict
+# (TestPinsHypercube2LivelockVerdict), the pinned certificate address and
+# verify.Version (TestCertificateDeterministic,
+# TestVersionPinsCertifier), the completeness of the routing-structure
+# key verdicts are stored under (TestRoutingStructureKeyComplete), plus
+# the Pareto-frontier invariant fuzz seed corpus.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/internal/cli
-	$(GO) test -race -run 'VerifyEach|CertificateGolden|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify
+	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
 	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:

@@ -18,6 +18,7 @@ import (
 
 	"chipletnet"
 	"chipletnet/internal/experiments"
+	"chipletnet/internal/verify"
 )
 
 // scale for benchmarks.
@@ -294,4 +295,64 @@ func BenchmarkSimulateSingleIdle(b *testing.B) {
 // at 0.30 load, where most routers are busy.
 func BenchmarkSimulateSingleLoaded(b *testing.B) {
 	benchSimulate(b, chipletnet.HypercubeTopology(8), 0.30, 100, 500)
+}
+
+// compiledShapes are the five 64-chiplet systems of bench/'s
+// build-compiled workload (dragonfly is capped at 12 chiplets by the
+// 4x4 chiplet's interface count).
+func compiledShapes() []chipletnet.Topology {
+	return []chipletnet.Topology{
+		chipletnet.MeshTopology(8, 8),
+		chipletnet.NDMeshTopology(4, 4, 4),
+		chipletnet.HypercubeTopology(6),
+		chipletnet.DragonflyTopology(12),
+		chipletnet.TreeTopology(64, 4),
+	}
+}
+
+// BenchmarkCertify times System.Certify under full analysis on each
+// build-compiled shape (Build runs with the timer stopped), so that
+//
+//	go test -run '^$' -bench Certify -benchmem -cpuprofile cpu.out
+//
+// profiles the routing certifier alone.
+func BenchmarkCertify(b *testing.B) {
+	for _, topo := range compiledShapes() {
+		b.Run(topo.String(), func(b *testing.B) {
+			cfg := chipletnet.DefaultConfig()
+			cfg.Topology = topo
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys, err := chipletnet.Build(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, rep := sys.Certify(verify.Options{}); rep.Err() != nil {
+					b.Fatal(rep.Err())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildCompiled times Build with compiled routing on each
+// build-compiled shape: construction, certification and the table
+// compile, the set-up half of that workload's op.
+func BenchmarkBuildCompiled(b *testing.B) {
+	for _, topo := range compiledShapes() {
+		b.Run(topo.String(), func(b *testing.B) {
+			cfg := chipletnet.DefaultConfig()
+			cfg.Topology = topo
+			cfg.CompiledRouting = true
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := chipletnet.Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -115,3 +115,46 @@ func TestJSONCertificateHash(t *testing.T) {
 		t.Errorf("decoded report differs from the library's:\n got %+v\nwant %+v", got.Report, rep)
 	}
 }
+
+// TestPinsHypercube2LivelockVerdict pins the current verdict on the
+// 4-chiplet hypercube under Duato routing: deadlock freedom and
+// reachability hold, but livelock freedom fails with 96 adaptive-cycle
+// findings (8 witnesses kept, 88 truncated) such as 17 -> 18 -> 22 -> 21.
+// Whether those cycles are real or the check is too strict for this
+// shape is an open question; until it is answered, the verdict must not
+// move by accident.
+func TestPinsHypercube2LivelockVerdict(t *testing.T) {
+	out, stderr, code := run(t, "-topology hypercube -dims 2 -json")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	var got struct {
+		Report          *verify.Report
+		Certificate     *verify.Certificate
+		CertificateHash string
+	}
+	if err := json.Unmarshal([]byte(out), &got); err != nil || got.Report == nil {
+		t.Fatalf("decode -json output: %v\n%s", err, out)
+	}
+	const wantHash = "a0dc5d5e990aa6846f302bd892ff799b133c301f502e0e5faf9301bf734db826"
+	if got.CertificateHash != wantHash {
+		t.Errorf("certificate %s, want %s", got.CertificateHash, wantHash)
+	}
+	rep := got.Report
+	if n := len(rep.Livelock) + rep.Truncated; len(rep.Livelock) != 8 || n != 96 {
+		t.Errorf("%d livelock witnesses + %d truncated, want 8 + 88", len(rep.Livelock), rep.Truncated)
+	}
+	if rep.Cycle != nil || rep.Unreachable != nil || rep.DeadEnds != nil || rep.VCViolations != nil {
+		t.Errorf("only livelock freedom should fail: %+v", rep)
+	}
+	if rep.States != 18884 || rep.EscapeChannels != 192 || rep.DepEdges != 324 ||
+		rep.EscapeHopBound != 18 || rep.AdaptiveHopBound != 17 {
+		t.Errorf("traversal moved: %d states, %d escape channels, %d dependencies, hop bounds %d/%d; want 18884, 192, 324, 18/17",
+			rep.States, rep.EscapeChannels, rep.DepEdges, rep.EscapeHopBound, rep.AdaptiveHopBound)
+	}
+	if len(rep.Livelock) > 0 {
+		if w := rep.Livelock[0].String(); w != "17 -> 18 -> 22 -> 21 -> 17  [packet to 5, tag 5]" {
+			t.Errorf("first livelock witness %q", w)
+		}
+	}
+}

@@ -30,12 +30,24 @@ type Table struct {
 	nCores int     // dense destination index width
 	dstIdx []int32 // node id -> dense core index, -1 for non-cores
 	counts []uint32
-	// sink accumulation, in traversal order; build() turns them into CSR
-	tmpState []uint32
-	tmpCand  []uint64
+	// sink accumulation, in traversal order, in fixed-size chunks so that
+	// growing never re-copies what is already there; build() turns them
+	// into CSR
+	chunks []*tableChunk
+	n      int // candidates accumulated
 
 	offsets []uint32
 	packed  []uint64
+}
+
+// tableChunkLen is the number of candidates one accumulation chunk holds.
+const tableChunkLen = 1 << 14
+
+// tableChunk holds tableChunkLen accumulated candidates: each one's state
+// index and packed entry.
+type tableChunk struct {
+	state [tableChunkLen]uint32
+	cand  [tableChunkLen]uint64
 }
 
 func newTable(sys *topology.System) *Table {
@@ -75,8 +87,13 @@ func (t *Table) State(node, dst, tag int, cands []router.Candidate, nsort int) {
 		if i < nsort {
 			e |= 1 << 49
 		}
-		t.tmpState = append(t.tmpState, s)
-		t.tmpCand = append(t.tmpCand, e)
+		j := t.n % tableChunkLen
+		if j == 0 {
+			t.chunks = append(t.chunks, new(tableChunk))
+		}
+		ch := t.chunks[len(t.chunks)-1]
+		ch.state[j], ch.cand[j] = s, e
+		t.n++
 	}
 	t.counts[s] += uint32(len(cands))
 }
@@ -92,13 +109,15 @@ func (t *Table) build() {
 	}
 	t.offsets[len(t.counts)] = total
 	t.packed = make([]uint64, total)
-	cursor := make([]uint32, len(t.counts))
+	cursor := t.counts // the counts are summed into offsets; reuse them
 	copy(cursor, t.offsets[:len(t.counts)])
-	for i, s := range t.tmpState {
-		t.packed[cursor[s]] = t.tmpCand[i]
+	for i := 0; i < t.n; i++ {
+		ch := t.chunks[i/tableChunkLen]
+		s := ch.state[i%tableChunkLen]
+		t.packed[cursor[s]] = ch.cand[i%tableChunkLen]
 		cursor[s]++
 	}
-	t.counts, t.tmpState, t.tmpCand = nil, nil, nil
+	t.counts, t.chunks = nil, nil
 }
 
 // Hash is the table's content address: the hex SHA-256 over its dimensions

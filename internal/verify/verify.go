@@ -16,7 +16,8 @@
 // matter.
 //
 // The analyzer enumerates routing behavior exhaustively per (destination,
-// interleave tag) round in two global passes over all rounds. Tags are
+// interleave tag) round in two global passes; only the first traverses the
+// rounds and asks the routing function. Tags are
 // reduced to equivalence classes first: every tag use in the routing layer
 // goes through interleave.Index (tag modulo the group membership size, with
 // the core-reachability rule shrinking the modulus by one), so TagClasses
@@ -33,10 +34,14 @@
 //     states, and VC-range discipline. When Options.Sink is set, every
 //     visited state's raw candidate set is also streamed out — this is how
 //     routing.Compile obtains certified tables from the same traversal.
+//     Under Duato's protocol each round also records its potential
+//     dependencies for pass 2.
 //  2. dependency edges are emitted against the now-complete C1. Under
-//     Duato's protocol the extended rule applies: the BFS re-runs, and
-//     every candidate channel that lies in C1 can be occupied and depends
-//     on the occupant's next escape channel at the far node. Under the
+//     Duato's protocol the extended rule applies: every candidate channel
+//     that lies in C1 can be occupied and depends on the occupant's next
+//     escape channel at the far node. Pass 2 replays the record pass 1
+//     made of those (channel, continuation) pairs and keeps the ones whose
+//     channel lies in C1, which is what a second BFS would add. Under the
 //     safe/unsafe flow control the escape network is not a reserved
 //     resource class, so the analysis certifies the minus-first structure
 //     itself (Theorem 1's object, which Definition 4's safety argument
@@ -46,14 +51,16 @@
 // Injection channels belong to C1 but no link channel ever feeds them, so
 // they cannot participate in a cycle and are left out of the graph.
 //
-// Two pieces of bookkeeping keep the traversal cheap without changing what
-// it reports. Each round memoizes the escape step per node, filled the
-// first time the round asks, so EscapeStep is called on the same states in
-// the same order as without the memo (and a panicking state panics at the
-// same point). Channels are interned to dense int32 ids (pair id times the
-// VC count plus the VC), so C1, the CDG adjacency and cycle search run on
-// slices; ids turn back into Channel values only in witnesses, and
-// traversal, DFS and witness order are unchanged.
+// Some bookkeeping keeps the traversal cheap without changing what it
+// reports. Each round memoizes the escape step per node, filled the first
+// time the round asks, so EscapeStep is called on the same states in the
+// same order as without the memo (and a panicking state panics at the
+// same point), and memoizes the escape walk per node (checkEscapeWalk).
+// Channels are interned to dense int32 ids (pair id times the VC count
+// plus the VC), so C1, the CDG adjacency and cycle search run on slices;
+// ids turn back into Channel values only in witnesses, and traversal, DFS
+// and witness order are unchanged. What the BFS needs of an output port
+// (far node, downstream VC count, pair) is read from the fabric once.
 //
 // The verdict is a structured Report carrying concrete witnesses (in
 // deterministic sorted order) when any proof obligation fails, and an
@@ -62,6 +69,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"chipletnet/internal/packet"
@@ -155,18 +163,19 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 	rep.EscapeRequired = rt.EscapeRequired()
 	rep.Dests, rep.Tags = len(a.dests), len(a.tags)
 
-	// Pass 1: reachable states, C1, reachability and discipline checks.
+	// Pass 1: reachable states, C1, reachability and discipline checks;
+	// under Duato's protocol each round also records its link hops.
 	for _, dst := range a.dests {
 		for _, tag := range a.tags {
-			a.round(dst, tag, false)
+			a.round(dst, tag)
 		}
 	}
 	// Pass 2: dependency edges against the now-complete C1.
-	for _, dst := range a.dests {
-		for _, tag := range a.tags {
-			if rep.EscapeRequired {
-				a.round(dst, tag, true)
-			} else {
+	if rep.EscapeRequired {
+		a.replay()
+	} else {
+		for _, dst := range a.dests {
+			for _, tag := range a.tags {
 				a.emitWalkDeps(dst, tag)
 			}
 		}
@@ -185,17 +194,20 @@ type analyzer struct {
 	opt     Options
 	rep     *Report
 	routers []*router.Router // indexed by global node id
+	chiplet []int32          // node -> chiplet index
 
 	dests, sources, tags []int
 
 	// Channels are interned to dense ids. Port i of node v carries pair
-	// pairBase[v]+i, and channel (v, to, vc) is pair*stride+vc for the
-	// first port of v leading to to and vc in [0, stride). A channel off
-	// that grid (not a link, or its VC out of range — only a defective
-	// escape function names one) gets the next id past the grid from
-	// extra. Ids are internal: witnesses convert back to Channel.
+	// pairBase[v]+i (node v owns pairs [pairBase[v], pairBase[v+1])), and
+	// channel (v, to, vc) is pair*stride+vc for the first port of v
+	// leading to to and vc in [0, stride). A channel off that grid (not a
+	// link, or its VC out of range — only a defective escape function
+	// names one) gets the next id past the grid from extra. Ids are
+	// internal: witnesses convert back to Channel.
 	pairBase []int32
-	pairFrom []int32 // pair -> owning node
+	pairFrom []int32    // pair -> owning node
+	pairs    []pairInfo // pair -> its output port's link, read once from the fabric
 	stride   int32
 	ndense   int32
 	extra    map[Channel]int32
@@ -215,11 +227,35 @@ type analyzer struct {
 	edgeInfo [][2]int
 
 	// Per-round escape memo: the round's escape step at node v, filled the
-	// first time the round asks for it (escState 0 unknown, escOK, escNone).
+	// first time the round asks for it (escState 0 unknown, escOK,
+	// escNone), with the step's channel id in escCh (-1 when its VC is out
+	// of range).
 	pkt      packet.Packet
 	escState []int8
 	escNext  []int
 	escVC    []int
+	escCh    []int32
+
+	// Per-round escape-walk memo (see checkEscapeWalk): walkState 0
+	// unknown, walkReach (walkVal = hops to the destination) or walkStuck
+	// (walkVal = the node without an escape step the walk ends at), and
+	// walkViol, the first node u of the walk whose successor breaks VC
+	// order (-1 none).
+	walkState []int8
+	walkVal   []int32
+	walkViol  []int32
+	path      []int32
+
+	// The pass-1 record pass 2 replays under Duato's protocol (see
+	// replay): hops collects the current round's link hops, rec the
+	// potential dependencies of all rounds in first-occurrence order,
+	// seen per candidate channel the continuations already recorded for
+	// it, and unasked the hops whose continuation pass 1 never asked.
+	hops    []linkHop
+	nround  int32 // pass-1 rounds finished
+	rec     []depRec
+	seen    [][]int32
+	unasked []linkHop
 
 	// per-round scratch
 	visited []bool
@@ -232,50 +268,100 @@ type analyzer struct {
 	cands   []router.Candidate
 }
 
+// pairInfo is what the traversal needs of one output port: the node its
+// link leads to (-1 for the local port), the downstream VC count, and the
+// pair channels of the hop are interned under (the first port of the same
+// node leading to the same node).
+type pairInfo struct {
+	far, vcs, first int32
+}
+
+// linkHop is one link hop of a pass-1 round: the pair its channels are
+// interned under (pairInfo.first) and its candidate VC mask, clipped to
+// the downstream VCs and the channel grid.
+type linkHop struct {
+	pair int32
+	mask uint32
+}
+
+// depRec is one potential dependency of the extended CDG: candidate
+// channel from, if it lies in C1, depends on escape channel to, first
+// induced in pass-1 round round (dests-major, tags-minor). to ==
+// contUnasked marks a hop whose continuation pass 1 never asked; from
+// then indexes analyzer.unasked. 12 bytes, no pointers.
+type depRec struct {
+	from, to, round int32
+}
+
 const (
 	escOK   = 1
 	escNone = 2
+
+	walkReach = 1
+	walkStuck = 2
+
+	contUnasked = -2
 )
 
 func newAnalyzer(sys *topology.System, rt EscapeAnalyzer, raw RawCandidater, opt Options, rep *Report) *analyzer {
 	n := len(sys.Nodes)
 	a := &analyzer{
-		sys:      sys,
-		rt:       rt,
-		raw:      raw,
-		opt:      opt,
-		rep:      rep,
-		routers:  make([]*router.Router, n),
-		dests:    sampleInts(sys.Cores, opt.MaxDests),
-		sources:  sampleInts(sys.Cores, opt.MaxSources),
-		tags:     tagSet(sys),
-		pairBase: make([]int32, n),
-		stride:   int32(max(sys.LP.VCs, 1)),
-		extra:    make(map[Channel]int32),
-		edges:    make(map[uint64]int32),
-		escState: make([]int8, n),
-		escNext:  make([]int, n),
-		escVC:    make([]int, n),
-		visited:  make([]bool, n),
-		mark:     make([]bool, n),
-		queue:    make([]int, 0, n),
-		radj:     make([][]int, n),
-		aadj:     make([][]int, n),
-		acolor:   make([]int8, n),
-		adepth:   make([]int32, n),
+		sys:       sys,
+		rt:        rt,
+		raw:       raw,
+		opt:       opt,
+		rep:       rep,
+		routers:   make([]*router.Router, n),
+		chiplet:   make([]int32, n),
+		dests:     sampleInts(sys.Cores, opt.MaxDests),
+		sources:   sampleInts(sys.Cores, opt.MaxSources),
+		tags:      tagSet(sys),
+		pairBase:  make([]int32, n+1),
+		stride:    int32(max(sys.LP.VCs, 1)),
+		extra:     make(map[Channel]int32),
+		edges:     make(map[uint64]int32),
+		escState:  make([]int8, n),
+		escNext:   make([]int, n),
+		escVC:     make([]int, n),
+		escCh:     make([]int32, n),
+		walkState: make([]int8, n),
+		walkVal:   make([]int32, n),
+		walkViol:  make([]int32, n),
+		visited:   make([]bool, n),
+		mark:      make([]bool, n),
+		queue:     make([]int, 0, n),
+		radj:      make([][]int, n),
+		aadj:      make([][]int, n),
+		acolor:    make([]int8, n),
+		adepth:    make([]int32, n),
 	}
 	for _, r := range sys.Fabric.Routers {
 		a.routers[r.Node] = r
 	}
 	for v := range sys.Nodes {
+		a.chiplet[v] = int32(sys.Nodes[v].Chiplet)
 		a.pairBase[v] = int32(len(a.pairFrom))
 		for range sys.Nodes[v].Ports {
 			a.pairFrom = append(a.pairFrom, int32(v))
 		}
 	}
+	a.pairBase[n] = int32(len(a.pairFrom))
+	a.pairs = make([]pairInfo, len(a.pairFrom))
+	for v := range sys.Nodes {
+		for i := range sys.Nodes[v].Ports {
+			o := a.routers[v].Out[i]
+			pi := pairInfo{far: -1, vcs: int32(len(o.Credits)), first: -1}
+			if o.Link != nil {
+				pi.far = int32(o.Link.Dst.Node)
+				pi.first = a.pair(v, o.Link.Dst.Node)
+			}
+			a.pairs[a.pairBase[v]+int32(i)] = pi
+		}
+	}
 	a.ndense = int32(len(a.pairFrom)) * a.stride
 	a.c1 = make([]bool, a.ndense)
 	a.adj = make([][]int32, a.ndense)
+	a.seen = make([][]int32, a.ndense)
 	return a
 }
 
@@ -346,18 +432,22 @@ func (a *analyzer) escape(v int) (next, vc int, ok bool) {
 		return 0, 0, false
 	}
 	next, vc, ok = a.rt.EscapeStep(v, &a.pkt)
-	if ok {
-		a.escState[v], a.escNext[v], a.escVC[v] = escOK, next, vc
-	} else {
+	if !ok {
 		a.escState[v] = escNone
+		return next, vc, ok
+	}
+	a.escState[v], a.escNext[v], a.escVC[v], a.escCh[v] = escOK, next, vc, -1
+	if vc >= 0 && vc < a.sys.LP.VCs {
+		a.escCh[v] = a.intern(v, next, vc)
 	}
 	return next, vc, ok
 }
 
-// round runs one (destination, tag) analysis round: a BFS over the
-// candidate graph from every injection point. With emit=false it grows C1
-// and runs the per-round checks; with emit=true it emits CDG edges.
-func (a *analyzer) round(dst, tag int, emit bool) {
+// round runs pass 1 of one (destination, tag) round: a BFS over the
+// candidate graph from every injection point that grows C1 and runs the
+// per-round checks. Under Duato's protocol it also appends the round's
+// link hops to the record pass 2 replays (see replay).
+func (a *analyzer) round(dst, tag int) {
 	p := a.startRound(dst, tag)
 	n := len(a.sys.Nodes)
 	for i := 0; i < n; i++ {
@@ -373,6 +463,9 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 		}
 	}
 	vcs := a.sys.LP.VCs
+	duato := a.rep.EscapeRequired
+	grid := router.VCMaskAll(int(a.stride))
+	a.hops = a.hops[:0]
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		if v == dst {
@@ -386,71 +479,45 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 			a.cands = a.rt.Candidates(r, 0, p, a.cands[:0])
 		}
 		if len(a.cands) == 0 {
-			if !emit {
-				a.addDeadEnd(StateRef{v, dst, tag})
-			}
+			a.addDeadEnd(StateRef{v, dst, tag})
 			continue
 		}
-		if !emit {
-			a.rep.States++
-			if a.opt.Sink != nil {
-				a.opt.Sink.State(v, dst, tag, a.cands, nsort)
-			}
-			enext, evc, eok := a.escape(v)
-			if eok {
-				if evc < 0 || evc >= vcs {
-					a.addVCViolation(fmt.Sprintf("escape VC %d outside [0,%d) at %v",
-						evc, vcs, StateRef{v, dst, tag}))
-				} else if id := a.intern(v, enext, evc); !a.c1[id] {
-					a.c1[id] = true
-					a.nc1++
-				}
-			} else if a.rep.EscapeRequired {
-				a.addMissingEscape(StateRef{v, dst, tag})
-			}
+		a.rep.States++
+		if a.opt.Sink != nil {
+			a.opt.Sink.State(v, dst, tag, a.cands, nsort)
 		}
+		if _, evc, eok := a.escape(v); eok {
+			if evc < 0 || evc >= vcs {
+				a.addVCViolation(fmt.Sprintf("escape VC %d outside [0,%d) at %v",
+					evc, vcs, StateRef{v, dst, tag}))
+			} else if id := a.escCh[v]; !a.c1[id] {
+				a.c1[id] = true
+				a.nc1++
+			}
+		} else if duato {
+			a.addMissingEscape(StateRef{v, dst, tag})
+		}
+		ports := a.pairs[a.pairBase[v]:a.pairBase[v+1]]
 		for _, c := range a.cands {
-			o := r.Out[c.Port]
-			if o.Link == nil {
-				if !emit {
-					a.addVCViolation(fmt.Sprintf("ejection candidate away from destination at %v",
-						StateRef{v, dst, tag}))
-				}
+			pi := ports[c.Port]
+			if pi.far < 0 {
+				a.addVCViolation(fmt.Sprintf("ejection candidate away from destination at %v",
+					StateRef{v, dst, tag}))
 				continue
 			}
-			to := o.Link.Dst.Node
+			to := int(pi.far)
 			mask := c.VCMask
-			if excess := mask &^ router.VCMaskAll(len(o.Credits)); excess != 0 {
-				if !emit {
-					a.addVCViolation(fmt.Sprintf("candidate VC mask %#x exceeds the %d downstream VCs at %v",
-						c.VCMask, len(o.Credits), StateRef{v, dst, tag}))
-				}
-				mask &= router.VCMaskAll(len(o.Credits))
+			if excess := mask &^ router.VCMaskAll(int(pi.vcs)); excess != 0 {
+				a.addVCViolation(fmt.Sprintf("candidate VC mask %#x exceeds the %d downstream VCs at %v",
+					c.VCMask, pi.vcs, StateRef{v, dst, tag}))
+				mask &^= excess
 			}
-			if emit && a.rep.EscapeRequired && to != dst {
-				// Extended CDG: the packet can occupy any candidate
-				// channel; from an escape channel its next request is
-				// its escape continuation at the far node.
-				if nn, nvc, ok := a.escape(to); ok && nvc >= 0 && nvc < vcs {
-					pr, tgt := a.pair(v, to), int32(-1)
-					for vc := 0; vc < len(o.Credits); vc++ {
-						if mask&(1<<uint(vc)) == 0 {
-							continue
-						}
-						if ch := a.id(pr, v, to, vc); ch >= 0 && a.c1[ch] {
-							if tgt < 0 {
-								tgt = a.intern(to, nn, nvc)
-							}
-							a.addDep(ch, tgt, dst, tag)
-						}
-					}
-				}
+			if duato && to != dst && mask&grid != 0 {
+				a.hops = append(a.hops, linkHop{pair: pi.first, mask: mask & grid})
 			}
-			if !emit {
-				a.radj[to] = append(a.radj[to], v)
-				if !c.Escape {
-					a.aadj[v] = append(a.aadj[v], to)
-				}
+			a.radj[to] = append(a.radj[to], v)
+			if !c.Escape {
+				a.aadj[v] = append(a.aadj[v], to)
 			}
 			if !a.visited[to] {
 				a.visited[to] = true
@@ -459,13 +526,93 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 		}
 	}
 	a.queue = queue
-	if emit {
-		return
-	}
 	a.checkReach(dst, tag)
 	a.checkLivelock(dst, tag)
-	if a.rep.EscapeRequired {
+	if duato {
 		a.checkEscapeWalk(dst, tag)
+		a.record()
+	}
+	a.nround++
+}
+
+// record appends the round's potential dependencies to the record. Each
+// hop's far node has its escape continuation in the round's memo; every
+// candidate channel of the hop may depend on it, if the channel turns out
+// to lie in C1. A pair already recorded is not recorded again: whether
+// it becomes an edge depends only on C1, so its first occurrence decides
+// both the edge and the (dst, tag) that induced it. A far node the round
+// never asked (a dead end off every escape walk) is recorded as the hop
+// itself, for pass 2 to ask.
+func (a *analyzer) record() {
+	round := a.nround
+	for _, h := range a.hops {
+		to := a.pairs[h.pair].far
+		var cont int32
+		switch a.escState[to] {
+		case escOK:
+			cont = a.escCh[to]
+		case escNone:
+			cont = -1
+		default:
+			a.rec = append(a.rec, depRec{from: int32(len(a.unasked)), to: contUnasked, round: round})
+			a.unasked = append(a.unasked, h)
+			continue
+		}
+		if cont < 0 {
+			continue
+		}
+		base := h.pair * a.stride
+		for m := h.mask; m != 0; m &= m - 1 {
+			if from := base + int32(bits.TrailingZeros32(m)); a.firstSeen(from, cont) {
+				a.rec = append(a.rec, depRec{from: from, to: cont, round: round})
+			}
+		}
+	}
+}
+
+// firstSeen reports whether the potential dependency from -> to is new,
+// and remembers it.
+func (a *analyzer) firstSeen(from, to int32) bool {
+	for _, t := range a.seen[from] {
+		if t == to {
+			return false
+		}
+	}
+	a.seen[from] = append(a.seen[from], to)
+	return true
+}
+
+// replay is pass 2 under Duato's protocol: the extended CDG. A packet can
+// occupy any candidate channel; from one that lies in C1 its next request
+// is its escape continuation at the far node. Replaying the pass-1 record
+// against the now-complete C1 adds the edges a second BFS over every
+// round would add, in the same order and with the same (dst, tag),
+// without asking the routing function again — except for the unasked
+// hops, asked here where that second traversal would first have asked
+// them.
+func (a *analyzer) replay() {
+	for _, e := range a.rec {
+		dst, tag := a.dests[int(e.round)/len(a.tags)], a.tags[int(e.round)%len(a.tags)]
+		if e.to != contUnasked {
+			if a.c1[e.from] {
+				a.addDep(e.from, e.to, dst, tag)
+			}
+			continue
+		}
+		h := a.unasked[e.from]
+		a.pkt = packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
+		to := int(a.pairs[h.pair].far)
+		nn, nvc, ok := a.rt.EscapeStep(to, &a.pkt)
+		if !ok || nvc < 0 || nvc >= a.sys.LP.VCs {
+			continue
+		}
+		tgt := a.intern(to, nn, nvc)
+		base := h.pair * a.stride
+		for m := h.mask; m != 0; m &= m - 1 {
+			if ch := base + int32(bits.TrailingZeros32(m)); a.c1[ch] {
+				a.addDep(ch, tgt, dst, tag)
+			}
+		}
 	}
 }
 
@@ -576,44 +723,105 @@ func rotateMin(cycle []int) []int {
 // Theorem 1's VC discipline along the way: within one chiplet the escape
 // VC class must be non-decreasing (a packet may climb from the d- class to
 // the d+ class but never back), with the cross-chiplet hop resetting the
-// ordering for the next chiplet.
+// ordering for the next chiplet. Each source reports at most its first
+// violation.
+//
+// Escape is a function of the node within a round, so the walk from a
+// node is the same whichever source reached it. A walk that ends — at the
+// destination or at a node without an escape step — memoizes, for every
+// node it stepped from, its length or end node and the first violation
+// further on; a later walk stops at the first memoized node, after that
+// node's own check (which depends on the hop into it), and takes the rest
+// from the memo. The findings, their order and the EscapeStep calls are
+// those of walking every source to the end. A walk that exhausts the bound
+// (an escape cycle) memoizes nothing.
 func (a *analyzer) checkEscapeWalk(dst, tag int) {
 	bound := 4 * len(a.sys.Nodes)
+	clear(a.walkState)
 	for _, src := range a.sources {
 		if src == dst {
 			continue
 		}
-		v, done := src, false
+		path := a.path[:0]
+		v, join, ended := src, -1, false
 		steps, prevVC, checkVC := 0, -1, true
 		for step := 0; step <= bound; step++ {
 			if v == dst {
-				done = true
+				ended = true
 				break
 			}
 			next, vc, ok := a.escape(v)
 			if !ok {
+				ended = true
 				break
 			}
 			if checkVC && prevVC >= 0 && vc < prevVC {
-				a.addVCViolation(fmt.Sprintf("escape VC class not monotone within chiplet: vc%d after vc%d at %v",
-					vc, prevVC, StateRef{v, dst, tag}))
+				a.addEscapeOrderViolation(v, vc, prevVC, dst, tag)
 				checkVC = false
 			}
-			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[next].Chiplet {
+			if a.walkState[v] != 0 {
+				join, ended = v, true
+				break
+			}
+			if a.chiplet[v] != a.chiplet[next] {
 				prevVC = -1
 			} else {
 				prevVC = vc
 			}
+			path = append(path, int32(v))
 			v = next
 			steps++
 		}
-		if !done {
+		a.path = path
+		state, val, viol := int8(walkReach), int32(0), int32(-1)
+		switch {
+		case join >= 0:
+			state, val, viol = a.walkState[join], a.walkVal[join], a.walkViol[join]
+			if checkVC && viol >= 0 {
+				u := int(viol)
+				s := a.escNext[u]
+				a.addEscapeOrderViolation(s, a.escVC[s], a.escVC[u], dst, tag)
+			}
+		case v != dst: // no escape step at v, or the bound ran out there
+			state, val = walkStuck, int32(v)
+		}
+		if state == walkReach {
+			if total := steps + int(val); total > a.rep.EscapeHopBound {
+				a.rep.EscapeHopBound = total
+			}
+		} else {
 			a.addUnreach(ReachFailure{Src: src, Dst: dst, Tag: tag,
-				Reason: fmt.Sprintf("escape walk does not terminate (stuck near node %d)", v)})
-		} else if steps > a.rep.EscapeHopBound {
-			a.rep.EscapeHopBound = steps
+				Reason: fmt.Sprintf("escape walk does not terminate (stuck near node %d)", val)})
+		}
+		if !ended {
+			continue // an escape cycle: its nodes have no end to memoize
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			u := path[i]
+			if state == walkReach {
+				val++
+			}
+			if a.descends(int(u), dst) {
+				viol = u
+			}
+			a.walkState[u], a.walkVal[u], a.walkViol[u] = state, val, viol
 		}
 	}
+}
+
+// descends reports whether the escape walk breaks VC order at u's
+// successor s: the walk goes on from s (s is not the destination and has
+// an escape step), s lies in u's chiplet, and s's escape VC is below u's
+// non-negative one. Both steps must already be in the round's memo.
+func (a *analyzer) descends(u, dst int) bool {
+	s := a.escNext[u]
+	return s != dst && a.escState[s] == escOK && a.chiplet[u] == a.chiplet[s] &&
+		a.escVC[u] >= 0 && a.escVC[s] < a.escVC[u]
+}
+
+func (a *analyzer) addEscapeOrderViolation(v, vc, prevVC, dst, tag int) {
+	a.addVCViolation(fmt.Sprintf("escape VC class not monotone within chiplet: vc%d after vc%d at %v",
+		vc, prevVC, StateRef{v, dst, tag}))
 }
 
 // emitWalkDeps emits the safe/unsafe-mode CDG edges for one (destination,
@@ -639,11 +847,10 @@ func (a *analyzer) emitWalkDeps(dst, tag int) {
 				break
 			}
 			if checkVC && prevVC >= 0 && vc < prevVC {
-				a.addVCViolation(fmt.Sprintf("escape VC class not monotone within chiplet: vc%d after vc%d at %v",
-					vc, prevVC, StateRef{v, dst, tag}))
+				a.addEscapeOrderViolation(v, vc, prevVC, dst, tag)
 				checkVC = false
 			}
-			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[next].Chiplet {
+			if a.chiplet[v] != a.chiplet[next] {
 				prevVC = -1
 			} else {
 				prevVC = vc
