@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test test-fault test-checkpoint test-equiv fuzz test-dse test-daemon test-coordinator test-workload bench bench-compare vet lint check figures
+.PHONY: build fmt test test-fault test-checkpoint test-equiv fuzz test-dse test-daemon test-coordinator test-workload bench bench-compare vet lint check figures
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "fmt: not gofmt-clean (run gofmt -w):"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -90,18 +94,20 @@ fuzz:
 # verify.Version (TestCertificateDeterministic,
 # TestVersionPinsCertifier), the completeness of the routing-structure
 # key verdicts are stored under (TestRoutingStructureKeyComplete), plus
-# the Pareto-frontier invariant fuzz seed corpus.
+# the seed corpora of the Pareto-frontier invariant and store-line
+# round-trip fuzz targets.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/internal/cli
 	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
-	$(GO) test -race -run FuzzParetoFrontier ./internal/dse
+	$(GO) test -race -run 'FuzzParetoFrontier|FuzzStoreLine' ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:
 # the service core (journal replay, drain/requeue, done/failed/deadline/
 # cancel classification, unresumable-checkpoint fallback, HTTP
 # endpoints, submit-time spec validation and the FuzzJobSpec seed
 # corpus), the backoff policy, the self-healing
-# JSONL loader, the sharded-cache merge gate, batch-cancellation through
+# JSONL loader, the sharded-cache merge gate (with the legacy gob-line
+# store in internal/dse/testdata), batch-cancellation through
 # the module root, and the chipletd process-level acceptance tests —
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.
 test-daemon:
@@ -168,11 +174,11 @@ bench-compare:
 	done; \
 	$(GO) run ./bench -compare $$a $$b
 
-# check is the pre-PR gate: go vet, build, the full test suite under the
-# race detector (including the -race equivalence matrices of test-equiv)
-# and the determinism linter over ./... . It runs no wall-clock gate;
-# performance is judged by bench-compare.
-check: vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
+# check is the pre-PR gate: gofmt, go vet, build, the full test suite
+# under the race detector (including the -race equivalence matrices of
+# test-equiv) and the determinism linter over ./... . It runs no
+# wall-clock gate; performance is judged by bench-compare.
+check: fmt vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
 	$(GO) test -race -timeout 20m ./...
 	$(GO) run ./cmd/chipletlint ./...
 

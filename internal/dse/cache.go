@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -71,14 +72,23 @@ func Key(cfg chipletnet.Config, p Params) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cacheLine is the JSONL envelope of one store entry: the content key
-// and the gob-encoded Record (json marshals []byte as base64). Gob
-// preserves float64 results exactly, so a Record read back from the store
-// is bit-identical to the freshly measured one — the property behind
-// byte-identical re-run reports.
+// cacheLine is one store line: the content key K and the Record R, as
+// plain JSON. encoding/json writes every float64 in its shortest
+// round-trip form, so a Record read back is bit-identical to the freshly
+// measured one — the property behind byte-identical re-run reports. Put
+// refuses a record the line cannot hold exactly (see encodeLine); record()
+// never builds one. K duplicates R.Key on purpose: a key is the
+// only field nothing else in the line can check, so a line whose two
+// copies disagree is rot, not a record filed under another candidate's
+// address.
+//
+// G is the legacy form, read but never written: a gob-encoded Record
+// (base64 in JSON), whose decoder must be built per line. chipletdse
+// -merge rewrites such a store in the current form.
 type cacheLine struct {
 	K string
-	G []byte
+	R *Record `json:",omitempty"`
+	G []byte  `json:",omitempty"`
 }
 
 // ErrSingleFile reports that a store path names a regular file: a
@@ -89,16 +99,18 @@ var ErrSingleFile = errors.New("dse: store path is a single-file cache")
 
 // Store is the content-addressed evaluation store: a map from candidate
 // key to Record in ShardN shards by key prefix (ShardIndex), each an
-// append-only JSONL file fsynced after every record (jsonl.Appender), or
-// memory-only. Beside the shards it keeps the pre-flight verdicts NewPlan
-// took, one per routing structure, in a verdict file appended once per
-// plan, so a later plan — in this process or another — certifies only
-// the structures the store has never seen. OpenStore drops a torn final
-// line (a crash mid-append) and quarantines any other corrupt line to a
-// .rej sidecar, keeping the later valid entries (see internal/jsonl); a
-// later entry for a key overrides an earlier one. Merge unions the
-// records of stores populated on different machines. Store is safe for
-// concurrent use; each shard, and the verdicts, have their own lock.
+// append-only JSONL file of plain-JSON records (cacheLine) fsynced after
+// every record (jsonl.Appender), or memory-only. Beside the shards it
+// keeps the pre-flight verdicts NewPlan took, one per routing structure,
+// in a verdict file appended once per plan, so a later plan — in this
+// process or another — certifies only the structures the store has never
+// seen. OpenStore drops a torn final line (a crash mid-append) and
+// quarantines any other corrupt line to a .rej sidecar, keeping the later
+// valid entries (see internal/jsonl); a later entry for a key overrides
+// an earlier one. It also reads legacy gob lines; Merge, which unions the
+// records of stores populated on different machines, writes them back in
+// the current form. Store is safe for concurrent use; each shard, and the
+// verdicts, have their own lock.
 type Store struct {
 	shards      [ShardN]shard
 	quarantined int // corrupt lines moved to .rej sidecars at open
@@ -174,30 +186,70 @@ func ReadCacheFile(path string) (*Store, error) {
 }
 
 // load reads the JSONL file at path into s (see jsonl.Load), each record
-// into its key's shard. A line that does not decode, or whose envelope key
-// disagrees with its record, is quarantined.
+// into its key's shard. A line decodeLine refuses is quarantined.
 func (s *Store) load(path string) error {
 	q, err := jsonl.Load(path, func(line []byte) error {
-		var cl cacheLine
-		if err := json.Unmarshal(line, &cl); err != nil {
-			return err
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(cl.G)).Decode(&rec); err != nil {
-			return fmt.Errorf("decoding record: %w", err)
-		}
-		if rec.Key != cl.K {
-			return fmt.Errorf("record key %.12s does not match envelope key %.12s", rec.Key, cl.K)
-		}
-		i, err := ShardIndex(rec.Key)
+		rec, err := decodeLine(line)
 		if err != nil {
 			return err
 		}
+		i, _ := ShardIndex(rec.Key) // decodeLine checked it
 		s.shards[i].recs[rec.Key] = rec
 		return nil
 	})
 	s.quarantined += q
 	return err
+}
+
+// encodeLine returns the store line of rec. It refuses a record the line
+// cannot hold exactly: a NaN or infinite float has no JSON form, and JSON
+// replaces bytes that are not UTF-8. So every record a store serves, or
+// Merge rewrites, is the one that was put.
+func encodeLine(rec Record) ([]byte, error) {
+	line, err := json.Marshal(cacheLine{K: rec.Key, R: &rec})
+	if err != nil {
+		return nil, fmt.Errorf("dse: encoding record: %w", err)
+	}
+	if back, err := decodeLine(line); err != nil || !reflect.DeepEqual(back, rec) {
+		return nil, fmt.Errorf("dse: record %.12s does not survive its JSON form", rec.Key)
+	}
+	return line, nil
+}
+
+// decodeLine returns the record of one store line, in the current form
+// or the legacy gob form. It refuses a line that holds neither form or
+// both, whose record key disagrees with K or is not hex, or whose legacy
+// record encodeLine refuses.
+func decodeLine(line []byte) (Record, error) {
+	var cl cacheLine
+	if err := json.Unmarshal(line, &cl); err != nil {
+		return Record{}, err
+	}
+	var rec Record
+	switch {
+	case cl.R != nil && cl.G == nil:
+		rec = *cl.R
+		// Classes is omitempty, so "[]" writes back as no field at all.
+		if len(rec.Classes) == 0 {
+			rec.Classes = nil
+		}
+	case cl.G != nil && cl.R == nil:
+		if err := gob.NewDecoder(bytes.NewReader(cl.G)).Decode(&rec); err != nil {
+			return Record{}, fmt.Errorf("decoding legacy record: %w", err)
+		}
+		if _, err := encodeLine(rec); err != nil {
+			return Record{}, err // Merge could not rewrite it
+		}
+	default:
+		return Record{}, errors.New("line holds neither a record nor a legacy record, or both")
+	}
+	if rec.Key != cl.K {
+		return Record{}, fmt.Errorf("record key %.12s does not match line key %.12s", rec.Key, cl.K)
+	}
+	if _, err := ShardIndex(rec.Key); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
 }
 
 // Lookup returns the stored record for key.
@@ -215,17 +267,14 @@ func (s *Store) Lookup(key string) (Record, bool) {
 
 // Put stores rec in its key's shard and, for an on-disk store, appends
 // and fsyncs the entry before returning, so a finished evaluation
-// survives any crash that follows it.
+// survives any crash that follows it. A record its line cannot hold
+// exactly (see encodeLine) is refused, and nothing is stored.
 func (s *Store) Put(rec Record) error {
 	i, err := ShardIndex(rec.Key)
 	if err != nil {
 		return err
 	}
-	var g bytes.Buffer
-	if err := gob.NewEncoder(&g).Encode(rec); err != nil {
-		return fmt.Errorf("dse: encoding record: %w", err)
-	}
-	line, err := json.Marshal(cacheLine{K: rec.Key, G: g.Bytes()})
+	line, err := encodeLine(rec)
 	if err != nil {
 		return err
 	}

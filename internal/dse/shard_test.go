@@ -95,14 +95,20 @@ func TestShardedCacheSelfHeals(t *testing.T) {
 	}
 	s.Close()
 
-	// Corrupt shard a: garbage line between the two records.
+	// Corrupt shard a between the two records: a garbage line, a
+	// plain-JSON line whose record does not decode, and one whose key is
+	// not hex.
 	shard := filepath.Join(dir, shardFile(10))
 	data, err := os.ReadFile(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytesSplitLines(data)
-	doctored := append(append(append([]byte(nil), lines[0]...), "garbage\n"...), lines[1]...)
+	doctored := append([]byte(nil), lines[0]...)
+	doctored = append(doctored, "garbage\n"...)
+	doctored = append(doctored, `{"K":"aa03","R":{"Key":"aa03","SatRate":"fast"}}`+"\n"...)
+	doctored = append(doctored, `{"K":"xa04","R":{"Key":"xa04","Name":"c"}}`+"\n"...)
+	doctored = append(doctored, lines[1]...)
 	if err := os.WriteFile(shard, doctored, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +118,18 @@ func TestShardedCacheSelfHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Quarantined() != 1 {
-		t.Errorf("Quarantined = %d, want 1", s2.Quarantined())
+	if s2.Quarantined() != 3 {
+		t.Errorf("Quarantined = %d, want 3", s2.Quarantined())
 	}
 	if s2.Len() != 2 {
 		t.Errorf("Len = %d, want both records to survive", s2.Len())
 	}
-	if _, err := os.Stat(shard + ".rej"); err != nil {
-		t.Errorf("no .rej sidecar for the healed shard: %v", err)
+	rej, err := os.ReadFile(shard + ".rej")
+	if err != nil {
+		t.Fatalf("no .rej sidecar for the healed shard: %v", err)
+	}
+	if got := len(bytesSplitLines(rej)); got != 3 {
+		t.Errorf(".rej holds %d lines, want 3", got)
 	}
 }
 

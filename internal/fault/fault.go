@@ -130,9 +130,9 @@ type Stats struct {
 	LinksDecommissioned int   `json:"links_decommissioned"`
 	ReroutedPackets     int64 `json:"rerouted_packets"`
 	// End-to-end delivery accounting (sequence check at the sinks).
-	DeliveredPackets  int `json:"delivered_packets"`
-	DuplicatePackets  int `json:"duplicate_packets"`
-	LostPackets       int `json:"lost_packets"`
+	DeliveredPackets int `json:"delivered_packets"`
+	DuplicatePackets int `json:"duplicate_packets"`
+	LostPackets      int `json:"lost_packets"`
 }
 
 // Typed failure classes. Errors returned by the engine wrap one of these;
