@@ -85,7 +85,11 @@ fuzz:
 # command) — then the parallel certification pool
 # (VerifyEach), the certifier's pinned output (TestCertificateGolden),
 # its certificate and table addresses on the five 64-chiplet
-# build-compiled systems (TestLargeSystemCertificates), its escape-walk
+# build-compiled systems (TestLargeSystemCertificates), its report,
+# certificate and tables unchanged whatever the number of pass-1
+# destination blocks running at once (TestCertifyIndependentOfBlocks:
+# those systems, the pre-flight bounds, the negative fixtures,
+# truncation and panics), its escape-walk
 # findings on walks that share suffixes (TestEscapeWalkSharedSuffix), the
 # dependencies and panic point of a continuation only pass 2 asks
 # (TestDeadEndContinuation),
@@ -98,7 +102,7 @@ fuzz:
 # round-trip fuzz targets.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/internal/cli
-	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
+	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|CertifyIndependentOfBlocks|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
 	$(GO) test -race -run 'FuzzParetoFrontier|FuzzStoreLine' ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:

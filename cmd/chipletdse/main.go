@@ -87,6 +87,20 @@ func main() {
 		}
 	}
 
+	// Opening a store creates it, so a misspelled merge source would
+	// become an empty store that merges nothing: check every source, and
+	// the target, before anything is opened.
+	if len(mergeSrcs) > 0 {
+		if *cachePath == "" {
+			cli.Fatalf("-merge needs -cache to merge into")
+		}
+		for _, src := range mergeSrcs {
+			if _, err := os.Stat(src); err != nil {
+				cli.Fatalf("merge source %s: %v", src, err)
+			}
+		}
+	}
+
 	cache, err := dse.OpenStore(*cachePath)
 	if err != nil {
 		cli.Fatalf("%v", err)
@@ -97,9 +111,6 @@ func main() {
 	}
 
 	if len(mergeSrcs) > 0 {
-		if *cachePath == "" {
-			cli.Fatalf("-merge needs -cache to merge into")
-		}
 		total := 0
 		for _, src := range mergeSrcs {
 			from, err := dse.OpenStore(src)

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chipletnet/internal/dse"
 )
 
 // TestMain doubles the test binary as chipletdse itself: with
@@ -148,5 +150,71 @@ func TestSecondRunCertifiesNothing(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("warm report differs from the cold one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMergeRefusesMissingSource: a -merge source that does not exist
+// exits 1 naming it, before any store is opened, so neither the
+// misspelled source nor the -cache target is created.
+func TestMergeRefusesMissingSource(t *testing.T) {
+	base := t.TempDir()
+	cache, missing := filepath.Join(base, "C")+"/", filepath.Join(base, "typo")+"/"
+	_, stderr, code := run(t, "-cache "+cache+" -merge "+missing)
+	if code != 1 || !strings.Contains(stderr, "merge source "+missing) {
+		t.Fatalf("exit %d, want 1 naming %s; stderr:\n%s", code, missing, stderr)
+	}
+	for _, dir := range []string{missing, cache} {
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s exists after the refused merge (stat: %v)", dir, err)
+		}
+	}
+}
+
+// TestDeadlockedCandidateExits2: a record that says the runtime watchdog
+// fired on a candidate the pre-flight certified makes chipletdse print
+// the watchdog's diagnostic and exit 2. The record is seeded into the
+// store under the key dse.NewPlan derives for the same space and params
+// the command line describes, so the command serves it as a cache hit.
+func TestDeadlockedCandidateExits2(t *testing.T) {
+	dir := t.TempDir() + "/"
+	space := dse.Space{
+		Chiplets:      4,
+		NoCs:          [][2]int{{4, 4}},
+		Topologies:    []string{"mesh"},
+		Routings:      []string{"mfr"},
+		Interleavings: []string{"message"},
+		Pattern:       "uniform",
+	}
+	params := dse.Params{Rates: []float64{0.1, 0.3}, WarmupCycles: 100, MeasureCycles: 300, Seed: 1}
+	store, err := dse.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := dse.NewPlan(space, params, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Pending) == 0 {
+		t.Fatalf("no candidate to seed: %d verified, %d rejected", len(plan.Candidates), len(plan.Rejected))
+	}
+	e := plan.Pending[0]
+	rec, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Deadlocked, rec.Diag = true, "seeded watchdog diagnostic"
+	if err := store.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, code := run(t, "-chiplets 4 -topologies mesh -routing mfr -interleave message -rates 0.1,0.3 -warmup 100 -measure 300 -cache "+dir)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if want := "DEADLOCK on verified candidate " + e.Candidate.Name + "\nseeded watchdog diagnostic"; !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/token"
+	"path/filepath"
 	"strings"
 
 	"chipletnet/internal/analysis"
@@ -104,21 +105,33 @@ var wallclockAnalyzer = &analysis.Analyzer{
 	},
 }
 
-// islandsEngineFile reports whether file is internal/router/islands.go —
-// the parallel-islands cycle engine, the single sanctioned intra-run
-// concurrency in the simulator core. Its per-cycle worker goroutines are
-// proven schedule-independent by the three-way differential-equivalence
-// matrix and the -race test-equiv gate; no other internal file gets the
-// exemption, so accidental concurrency elsewhere still fails the lint.
-func islandsEngineFile(pass *analysis.Pass, file *ast.File) bool {
-	return pass.Dir == "internal/router" &&
-		strings.HasSuffix(pass.Filename(file.Pos()), "islands.go")
+// goroutineFiles are the only internal files that may spawn goroutines,
+// by package directory. Each one's concurrency is proven not to change a
+// result, and no other internal file gets the exemption, so accidental
+// concurrency elsewhere still fails the lint:
+//   - internal/router/islands.go, the parallel-islands cycle engine: its
+//     per-cycle worker goroutines are proven schedule-independent by the
+//     three-way differential-equivalence matrix and the -race test-equiv
+//     gate;
+//   - internal/verify/blocks.go, the certifier's pass 1 split into
+//     destination blocks: blocks share nothing they write and merge in
+//     round order, which TestCertifyIndependentOfBlocks checks under
+//     -race in test-dse.
+var goroutineFiles = map[string]string{
+	"internal/router": "islands.go",
+	"internal/verify": "blocks.go",
+}
+
+// goroutineExempt reports whether file is the goroutine-exempt file of
+// its package (see goroutineFiles).
+func goroutineExempt(pass *analysis.Pass, file *ast.File) bool {
+	name, ok := goroutineFiles[pass.Dir]
+	return ok && filepath.Base(pass.Filename(file.Pos())) == name
 }
 
 // goroutineAnalyzer keeps the cycle engine strictly serial: internal
 // packages must not spawn goroutines; parallelism lives at the sweep layer
-// (the module root). Sole exception: the parallel-islands engine file
-// (see islandsEngineFile).
+// (the module root). Sole exceptions: goroutineFiles.
 var goroutineAnalyzer = &analysis.Analyzer{
 	Name: "goroutine",
 	Doc:  "flags go statements in internal packages (the cycle engine is serial)",
@@ -127,7 +140,7 @@ var goroutineAnalyzer = &analysis.Analyzer{
 			return nil, nil
 		}
 		for _, file := range pass.Files {
-			if isTestFile(pass, file) || islandsEngineFile(pass, file) {
+			if isTestFile(pass, file) || goroutineExempt(pass, file) {
 				continue
 			}
 			ast.Inspect(file, func(n ast.Node) bool {

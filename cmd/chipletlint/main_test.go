@@ -112,6 +112,24 @@ func f() { go func() {}() }`
 	assertFinding(t, lintSource(t, "internal/fault", "islands.go", src), "goroutine")
 }
 
+func TestCertifierBlocksExemptFromGoroutineRule(t *testing.T) {
+	// The certifier's pass-1 blocks are the other sanctioned intra-run
+	// concurrency: blocks merge in round order, so the report cannot
+	// depend on how many run, which TestCertifyIndependentOfBlocks checks
+	// under -race. internal/verify/blocks.go — and only that file — may
+	// spawn goroutines.
+	src := `package verify
+func f() { go func() {}() }`
+	if fs := lintSource(t, "internal/verify", "blocks.go", src); len(fs) != 0 {
+		t.Errorf("certifier blocks flagged (their concurrency is sanctioned): %v", fs)
+	}
+	for _, file := range []string{"verify.go", "report.go", "certificate.go", "xblocks.go"} {
+		assertFinding(t, lintSource(t, "internal/verify", file, src), "goroutine")
+	}
+	assertFinding(t, lintSource(t, "internal/router", "blocks.go", src), "goroutine")
+	assertFinding(t, lintSource(t, "internal/verify", "islands.go", src), "goroutine")
+}
+
 func TestMapOrderDependentEffects(t *testing.T) {
 	// The original internal/topology/custom.go defect: side-effecting
 	// method calls ordered by map iteration.

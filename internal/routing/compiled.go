@@ -29,15 +29,23 @@ type Table struct {
 	l      int     // interleave-tag equivalence classes (verify.TagClasses)
 	nCores int     // dense destination index width
 	dstIdx []int32 // node id -> dense core index, -1 for non-cores
-	counts []uint32
-	// sink accumulation, in traversal order, in fixed-size chunks so that
-	// growing never re-copies what is already there; build() turns them
-	// into CSR
-	chunks []*tableChunk
-	n      int // candidates accumulated
+	// counts holds each state's candidate count. The streams write it
+	// without a lock: a state belongs to one traversal block, so each
+	// element has one writer.
+	counts  []uint32
+	streams []*tableStream // one per traversal block; build() turns them into CSR
 
 	offsets []uint32
 	packed  []uint64
+}
+
+// tableStream accumulates one traversal block's states in traversal
+// order, in fixed-size chunks so that growing never re-copies what is
+// already there.
+type tableStream struct {
+	t      *Table
+	chunks []*tableChunk
+	n      int // candidates accumulated
 }
 
 // tableChunkLen is the number of candidates one accumulation chunk holds.
@@ -70,15 +78,29 @@ func (t *Table) stateIndex(node int, di int32, class int) int {
 	return (node*t.nCores+int(di))*t.l + class
 }
 
-// State implements verify.StateSink: it records the raw candidate set of
-// one traversed routing state. Candidates beyond position nsort keep their
-// stored order at lookup; the first nsort are re-sorted by live credits.
-func (t *Table) State(node, dst, tag int, cands []router.Candidate, nsort int) {
+// Streams implements verify.StateSink: one accumulation stream per
+// traversal block.
+func (t *Table) Streams(k int) []verify.StateStream {
+	t.streams = make([]*tableStream, k)
+	out := make([]verify.StateStream, k)
+	for i := range out {
+		t.streams[i] = &tableStream{t: t}
+		out[i] = t.streams[i]
+	}
+	return out
+}
+
+// State implements verify.StateStream: it records the raw candidate set
+// of one traversed routing state. Candidates beyond position nsort keep
+// their stored order at lookup; the first nsort are re-sorted by live
+// credits.
+func (s *tableStream) State(node, dst, tag int, cands []router.Candidate, nsort int) {
+	t := s.t
 	di := t.dstIdx[dst]
 	if di < 0 || tag < 0 || tag >= t.l {
 		return
 	}
-	s := uint32(t.stateIndex(node, di, tag))
+	st := uint32(t.stateIndex(node, di, tag))
 	for i, c := range cands {
 		e := uint64(uint16(c.Port)) | uint64(c.VCMask)<<16
 		if c.Escape {
@@ -87,19 +109,21 @@ func (t *Table) State(node, dst, tag int, cands []router.Candidate, nsort int) {
 		if i < nsort {
 			e |= 1 << 49
 		}
-		j := t.n % tableChunkLen
+		j := s.n % tableChunkLen
 		if j == 0 {
-			t.chunks = append(t.chunks, new(tableChunk))
+			s.chunks = append(s.chunks, new(tableChunk))
 		}
-		ch := t.chunks[len(t.chunks)-1]
-		ch.state[j], ch.cand[j] = s, e
-		t.n++
+		ch := s.chunks[len(s.chunks)-1]
+		ch.state[j], ch.cand[j] = st, e
+		s.n++
 	}
-	t.counts[s] += uint32(len(cands))
+	t.counts[st] += uint32(len(cands))
 }
 
-// build converts the accumulated states into the CSR arrays and drops the
-// accumulation buffers.
+// build converts the accumulated streams into the CSR arrays and drops
+// the accumulation buffers. A state's candidates all come from one
+// stream, in their traversal order, so the arrays do not depend on how
+// the traversal was split into streams.
 func (t *Table) build() {
 	t.offsets = make([]uint32, len(t.counts)+1)
 	total := uint32(0)
@@ -111,13 +135,15 @@ func (t *Table) build() {
 	t.packed = make([]uint64, total)
 	cursor := t.counts // the counts are summed into offsets; reuse them
 	copy(cursor, t.offsets[:len(t.counts)])
-	for i := 0; i < t.n; i++ {
-		ch := t.chunks[i/tableChunkLen]
-		s := ch.state[i%tableChunkLen]
-		t.packed[cursor[s]] = ch.cand[i%tableChunkLen]
-		cursor[s]++
+	for _, s := range t.streams {
+		for i := 0; i < s.n; i++ {
+			ch := s.chunks[i/tableChunkLen]
+			st := ch.state[i%tableChunkLen]
+			t.packed[cursor[st]] = ch.cand[i%tableChunkLen]
+			cursor[st]++
+		}
 	}
-	t.counts, t.chunks = nil, nil
+	t.counts, t.streams = nil, nil
 }
 
 // Hash is the table's content address: the hex SHA-256 over its dimensions

@@ -1,0 +1,169 @@
+package verify_test
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"chipletnet"
+	"chipletnet/internal/packet"
+	"chipletnet/internal/router"
+	"chipletnet/internal/routing"
+	"chipletnet/internal/topology"
+	"chipletnet/internal/verify"
+)
+
+// splitWildEscapeRouting is wildEscapeRouting with two off-grid escape
+// channels: a -> b on VC 0 for destinations below mid and on VC 1 from
+// mid on, so a block that starts at mid or later numbers them in the
+// other order than the whole traversal does.
+type splitWildEscapeRouting struct {
+	wildEscapeRouting
+	mid int
+}
+
+func (w *splitWildEscapeRouting) EscapeStep(v int, p *packet.Packet) (int, int, bool) {
+	inner := w.wildEscapeRouting
+	if p.Dst >= w.mid {
+		inner.vc = 1
+	}
+	return inner.EscapeStep(v, p)
+}
+
+// blockOutput is what one analysis hands out: the report, its
+// certificate address and, when the tables were compiled, their address.
+type blockOutput struct {
+	rep         *verify.Report
+	cert, table string
+}
+
+// TestCertifyIndependentOfBlocks: pass 1 split into k destination blocks
+// must report exactly what the single block reports, for k of 1, 2, 3, 5
+// and more than there are destinations — on the five 64-chiplet
+// build-compiled systems under full analysis (certificate and compiled
+// tables) and under the DSE pre-flight bounds, on the negative fixtures
+// (equal-channel nD-mesh cycle, hypercube-2 livelock, a continuation only
+// pass 2 asks), on witness truncation spread over many rounds, on escape
+// channels off the link grid, and on routings that panic in pass 1 or in
+// pass 2.
+func TestCertifyIndependentOfBlocks(t *testing.T) {
+	type tc struct {
+		name string
+		run  func() blockOutput
+	}
+	var cases []tc
+	analyze := func(sys *topology.System, opt verify.Options) func() blockOutput {
+		return func() blockOutput {
+			rep := verify.Run(sys, opt)
+			return blockOutput{rep: rep, cert: rep.Certificate().Hash()}
+		}
+	}
+	for _, topo := range []chipletnet.Topology{
+		chipletnet.MeshTopology(8, 8),
+		chipletnet.NDMeshTopology(4, 4, 4),
+		chipletnet.HypercubeTopology(6),
+		chipletnet.DragonflyTopology(12),
+		chipletnet.TreeTopology(64, 4),
+	} {
+		cfg := chipletnet.DefaultConfig()
+		cfg.Topology = topo
+		sys, err := chipletnet.Build(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", topo, err)
+		}
+		cases = append(cases, tc{topo.String() + "|compile", func() blockOutput {
+			comp, rep, err := routing.Compile(sys.Topo)
+			if err != nil {
+				t.Fatalf("%v: compile: %v", topo, err)
+			}
+			return blockOutput{rep: rep, cert: rep.Certificate().Hash(), table: comp.TableHash()}
+		}})
+		cases = append(cases, tc{topo.String() + "|preflight",
+			analyze(sys.Topo, verify.Options{MaxDests: 16, MaxSources: 8})})
+	}
+
+	cfg := chipletnet.DefaultConfig()
+	cfg.Topology = chipletnet.HypercubeTopology(2)
+	hc2, err := chipletnet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		tc{"hypercube-2|livelock", analyze(hc2.Topo, verify.Options{})},
+		tc{"hypercube-2|livelock-1-witness", analyze(hc2.Topo, verify.Options{MaxWitnesses: 1})})
+
+	duato := routing.Options{Mode: routing.DuatoEscape}
+	su := routing.Options{Mode: routing.SafeUnsafe}
+	fixture := func(name string, opt routing.Options) *topology.System {
+		sys := build(t, name)
+		install(t, sys, opt)
+		return sys
+	}
+	cases = append(cases, tc{"ndmesh-3x2x2|equal-channel", analyze(fixture("ndmesh-3x2x2",
+		routing.Options{DisableNDMeshVCSeparation: true, AllowUnsafe: true}), verify.Options{})})
+
+	for _, panicAt := range []bool{false, true} {
+		const dst, at = 5, 6
+		sys := fixture("mesh-3x3", duato)
+		wrap(t, sys, func(inner verify.EscapeAnalyzer) router.Routing {
+			var esc verify.EscapeAnalyzer = &tableEscapeRouting{EscapeAnalyzer: inner, dst: dst}
+			if panicAt {
+				esc = &panicEscapeRouting{EscapeAnalyzer: esc, at: at, dst: dst}
+			}
+			return &deadEndRouting{EscapeAnalyzer: esc, at: at, dst: dst}
+		})
+		name := "mesh-3x3|dead-end-continuation"
+		if panicAt {
+			name += "-panic"
+		}
+		cases = append(cases, tc{name, analyze(sys, verify.Options{MaxSources: len(sys.Cores) / 2})})
+	}
+
+	for _, mode := range []routing.Options{duato, su} {
+		sys := fixture("hypercube-4", mode)
+		a, b := sys.Cores[0], sys.Cores[len(sys.Cores)-1]
+		mid := sys.Cores[len(sys.Cores)/2]
+		wrap(t, sys, func(inner verify.EscapeAnalyzer) router.Routing {
+			return &splitWildEscapeRouting{wildEscapeRouting{EscapeAnalyzer: inner, a: a, b: b}, mid}
+		})
+		cases = append(cases, tc{"hypercube-4|split-wild-escape-" + mode.Mode.String(), analyze(sys, verify.Options{})})
+
+		sys = fixture("hypercube-4", mode)
+		wrap(t, sys, func(inner verify.EscapeAnalyzer) router.Routing {
+			return &wildEscapeRouting{EscapeAnalyzer: inner, a: a, b: b, vc: 2}
+		})
+		cases = append(cases, tc{"hypercube-4|wild-escape-1-witness-" + mode.Mode.String(),
+			analyze(sys, verify.Options{MaxWitnesses: 1})})
+
+		sys = fixture("hypercube-4", mode)
+		at, dst := sys.Cores[5], sys.Cores[9]
+		wrap(t, sys, func(inner verify.EscapeAnalyzer) router.Routing {
+			return &panicEscapeRouting{EscapeAnalyzer: inner, at: at, dst: dst}
+		})
+		cases = append(cases, tc{"hypercube-4|panic-escape-" + mode.Mode.String(), analyze(sys, verify.Options{})})
+	}
+
+	for _, c := range cases {
+		restore := verify.SetBlocks(1)
+		want := c.run()
+		restore()
+		if strings.Contains(c.name, "panic") != (want.rep.Panic != "") {
+			t.Errorf("%s: panic %q", c.name, want.rep.Panic)
+		}
+		if strings.Contains(c.name, "1-witness") && want.rep.Truncated == 0 {
+			t.Errorf("%s: nothing truncated", c.name)
+		}
+		for _, k := range []int{2, 3, 5, 1 << 20} {
+			restore := verify.SetBlocks(k)
+			got := c.run()
+			restore()
+			if !reflect.DeepEqual(got.rep, want.rep) {
+				t.Errorf("%s: %d blocks report\n%s\nwant (1 block)\n%s", c.name, k, got.rep, want.rep)
+			}
+			if got.cert != want.cert || got.table != want.table {
+				t.Errorf("%s: %d blocks certificate %s table %s, want %s and %s",
+					c.name, k, got.cert, got.table, want.cert, want.table)
+			}
+		}
+	}
+}

@@ -51,6 +51,11 @@
 // Injection channels belong to C1 but no link channel ever feeds them, so
 // they cannot participate in a cycle and are left out of the graph.
 //
+// Pass 1 runs on every CPU: its rounds are split into contiguous blocks
+// of destinations, each traversed on its own goroutine with its own
+// bookkeeping, and the blocks are merged in round order before pass 2
+// (blocks.go), so nothing the analysis reports depends on how many ran.
+//
 // Some bookkeeping keeps the traversal cheap without changing what it
 // reports. Each round memoizes the escape step per node, filled the first
 // time the round asks, so EscapeStep is called on the same states in the
@@ -85,7 +90,8 @@ type EscapeAnalyzer interface {
 	router.Routing
 	// EscapeStep returns the escape next hop and VC for packet p at node
 	// v, or ok=false from states with no escape continuation. It must be
-	// side-effect free and must not panic on reachable states.
+	// side-effect free (Run calls it from several goroutines at once) and
+	// must not panic on reachable states.
 	EscapeStep(v int, p *packet.Packet) (next, vc int, ok bool)
 	// EscapeRequired reports whether deadlock freedom relies on the
 	// escape sub-network (Duato's protocol) rather than on flow control.
@@ -98,18 +104,33 @@ type EscapeAnalyzer interface {
 // candidates the lookup reorders by live credit score. A routing
 // implementation must expose it for its tables to be compilable
 // (routing.Compile): the stored set plus the re-sortable prefix length is
-// exactly what reproduces Candidates bit-for-bit at lookup time.
+// exactly what reproduces Candidates bit-for-bit at lookup time. Like
+// EscapeStep, it is called from several goroutines at once.
 type RawCandidater interface {
 	RawCandidates(r *router.Router, p *packet.Packet, buf []router.Candidate) ([]router.Candidate, int)
 }
 
-// StateSink receives every routing state the certifying traversal visits:
-// node holds a packet for destination dst with interleave-tag class tag
-// (in [0, TagClasses)), and the routing function offers the raw candidate
-// set cands of which the first nsort are credit-sortable. The cands slice
-// is reused across calls — implementations must copy what they keep.
-// Ejection states (node == dst) are not streamed.
+// StateSink receives every routing state the certifying traversal visits.
+// Pass 1 runs in k blocks of destinations at once (see Run), so the
+// states arrive on k streams: Run calls Streams once, before the
+// traversal, and block i sends its states, in its traversal order, to the
+// i-th stream from one goroutine. Each state belongs to exactly one block
+// (its destination does), so a stream never sees another block's states
+// and a sink whose streams write only per-state or per-stream storage
+// needs no lock. Everything the streams receive for one state comes from
+// one round, in the order a single traversal would send it; across states
+// the interleaving depends on k.
 type StateSink interface {
+	Streams(k int) []StateStream
+}
+
+// StateStream receives the states of one pass-1 block: node holds a
+// packet for destination dst with interleave-tag class tag (in [0,
+// TagClasses)), and the routing function offers the raw candidate set
+// cands of which the first nsort are credit-sortable. The cands slice is
+// reused across calls — implementations must copy what they keep.
+// Ejection states (node == dst) are not streamed.
+type StateStream interface {
 	State(node, dst, tag int, cands []router.Candidate, nsort int)
 }
 
@@ -125,9 +146,10 @@ type Options struct {
 	// MaxWitnesses caps recorded findings per category (default 8).
 	MaxWitnesses int
 	// Sink, when non-nil, receives every visited routing state with its
-	// raw candidate set (see StateSink). Requires the routing to implement
-	// RawCandidater; the analysis reports Unsupported otherwise. Combine
-	// with zero MaxDests/MaxSources for complete tables.
+	// raw candidate set, one stream per pass-1 block (see StateSink).
+	// Requires the routing to implement RawCandidater; the analysis
+	// reports Unsupported otherwise. Combine with zero
+	// MaxDests/MaxSources for complete tables.
 	Sink StateSink
 }
 
@@ -135,6 +157,13 @@ type Options struct {
 // the structured verdict. The system must be built but not yet simulated;
 // the analysis only reads routing state and does not mutate the fabric.
 // Panics escaping the routing function are recovered into Report.Panic.
+//
+// Pass 1 runs on k = min(GOMAXPROCS, destinations) goroutines, each over
+// one contiguous block of the analyzed destinations (see pass1), so the
+// routing function's Candidates, RawCandidates and EscapeStep are called
+// concurrently and must only read shared state. The blocks are merged in
+// round order before pass 2, so the report, the certificate and what the
+// sink receives per state do not depend on k.
 func Run(sys *topology.System, opt Options) (rep *Report) {
 	rep = &Report{Topology: sys.Kind.String()}
 	if opt.MaxWitnesses <= 0 {
@@ -159,18 +188,16 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 		rep.Unsupported = fmt.Sprintf("routing %T does not expose RawCandidates for table compilation", sys.Fabric.Routing)
 		return rep
 	}
-	a := newAnalyzer(sys, rt, raw, opt, rep)
+	g := newGrid(sys, rt, raw, opt)
 	rep.EscapeRequired = rt.EscapeRequired()
-	rep.Dests, rep.Tags = len(a.dests), len(a.tags)
+	rep.Dests, rep.Tags = len(g.dests), len(g.tags)
 
 	// Pass 1: reachable states, C1, reachability and discipline checks;
 	// under Duato's protocol each round also records its link hops.
-	for _, dst := range a.dests {
-		for _, tag := range a.tags {
-			a.round(dst, tag)
-		}
-	}
+	a := pass1(g, rep)
 	// Pass 2: dependency edges against the now-complete C1.
+	a.adj = make([][]int32, len(a.c1))
+	a.edges = make(map[uint64]int32)
 	if rep.EscapeRequired {
 		a.replay()
 	} else {
@@ -187,12 +214,14 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 	return rep
 }
 
-type analyzer struct {
+// grid is what every block of the traversal reads and none writes: the
+// system and its routing, the analyzed destinations, sources and tags,
+// and the channel id grid.
+type grid struct {
 	sys     *topology.System
 	rt      EscapeAnalyzer
 	raw     RawCandidater // nil when the routing has no raw accessor
 	opt     Options
-	rep     *Report
 	routers []*router.Router // indexed by global node id
 	chiplet []int32          // node -> chiplet index
 
@@ -203,15 +232,27 @@ type analyzer struct {
 	// channel (v, to, vc) is pair*stride+vc for the first port of v
 	// leading to to and vc in [0, stride). A channel off that grid (not a
 	// link, or its VC out of range — only a defective escape function
-	// names one) gets the next id past the grid from extra. Ids are
-	// internal: witnesses convert back to Channel.
+	// names one) gets the next id past the grid from the analyzer's
+	// extra. Ids are internal: witnesses convert back to Channel.
 	pairBase []int32
 	pairFrom []int32    // pair -> owning node
 	pairs    []pairInfo // pair -> its output port's link, read once from the fabric
 	stride   int32
 	ndense   int32
-	extra    map[Channel]int32
-	extraCh  []Channel
+}
+
+// analyzer is one block of pass 1 (see pass1) and, for block 0, the
+// whole analysis after it: blocks 1..k-1 merge into it, and it runs
+// pass 2, the cycle search and the witness ordering.
+type analyzer struct {
+	*grid
+	rep  *Report
+	sink StateStream // this block's stream of opt.Sink, or nil
+
+	// extra numbers the off-grid channels this analyzer has seen, past
+	// the grid, in first-seen order (extraCh).
+	extra   map[Channel]int32
+	extraCh []Channel
 
 	// c1 is the escape sub-network: every channel some escape step
 	// targets, indexed by channel id; nc1 counts its members.
@@ -220,12 +261,31 @@ type analyzer struct {
 	// adj is the CDG adjacency by channel id; order lists its non-empty
 	// rows in first-insertion order so cycle detection is deterministic.
 	// edges maps from<<32|to to the edge's index in edgeInfo, which holds
-	// the first inducing (dst, tag).
+	// the first inducing (dst, tag). Pass 2 allocates adj and edges.
 	adj      [][]int32
 	order    []int32
 	edges    map[uint64]int32
 	edgeInfo [][2]int
 
+	// The pass-1 record pass 2 replays under Duato's protocol (see
+	// replay): rec holds the potential dependencies of all rounds in
+	// first-occurrence order, seen per candidate channel 1 + the index in
+	// rec of the last entry from it (0: none), and unasked the hops whose
+	// continuation pass 1 never asked. nround is the global index of the
+	// next pass-1 round (dests-major, tags-minor).
+	nround  int32
+	rec     []depRec
+	seen    []int32
+	unasked []linkHop
+
+	// pv is the value a panicking round of this block panicked with.
+	pv any
+
+	roundScratch
+}
+
+// roundScratch is what one pass-1 round uses and the next one resets.
+type roundScratch struct {
 	// Per-round escape memo: the round's escape step at node v, filled the
 	// first time the round asks for it (escState 0 unknown, escOK,
 	// escNone), with the step's channel id in escCh (-1 when its VC is out
@@ -246,18 +306,9 @@ type analyzer struct {
 	walkViol  []int32
 	path      []int32
 
-	// The pass-1 record pass 2 replays under Duato's protocol (see
-	// replay): hops collects the current round's link hops, rec the
-	// potential dependencies of all rounds in first-occurrence order,
-	// seen per candidate channel the continuations already recorded for
-	// it, and unasked the hops whose continuation pass 1 never asked.
-	hops    []linkHop
-	nround  int32 // pass-1 rounds finished
-	rec     []depRec
-	seen    [][]int32
-	unasked []linkHop
+	// hops collects the current round's link hops (see record).
+	hops []linkHop
 
-	// per-round scratch
 	visited []bool
 	mark    []bool
 	queue   []int
@@ -286,11 +337,12 @@ type linkHop struct {
 
 // depRec is one potential dependency of the extended CDG: candidate
 // channel from, if it lies in C1, depends on escape channel to, first
-// induced in pass-1 round round (dests-major, tags-minor). to ==
-// contUnasked marks a hop whose continuation pass 1 never asked; from
-// then indexes analyzer.unasked. 12 bytes, no pointers.
+// induced in pass-1 round round (dests-major, tags-minor). prev chains
+// the entries from the same channel (see addDepRec). to == contUnasked
+// marks a hop whose continuation pass 1 never asked; from then indexes
+// analyzer.unasked. 16 bytes, no pointers.
 type depRec struct {
-	from, to, round int32
+	from, to, round, prev int32
 }
 
 const (
@@ -303,73 +355,83 @@ const (
 	contUnasked = -2
 )
 
-func newAnalyzer(sys *topology.System, rt EscapeAnalyzer, raw RawCandidater, opt Options, rep *Report) *analyzer {
+func newGrid(sys *topology.System, rt EscapeAnalyzer, raw RawCandidater, opt Options) *grid {
 	n := len(sys.Nodes)
-	a := &analyzer{
-		sys:       sys,
-		rt:        rt,
-		raw:       raw,
-		opt:       opt,
-		rep:       rep,
-		routers:   make([]*router.Router, n),
-		chiplet:   make([]int32, n),
-		dests:     sampleInts(sys.Cores, opt.MaxDests),
-		sources:   sampleInts(sys.Cores, opt.MaxSources),
-		tags:      tagSet(sys),
-		pairBase:  make([]int32, n+1),
-		stride:    int32(max(sys.LP.VCs, 1)),
-		extra:     make(map[Channel]int32),
-		edges:     make(map[uint64]int32),
-		escState:  make([]int8, n),
-		escNext:   make([]int, n),
-		escVC:     make([]int, n),
-		escCh:     make([]int32, n),
-		walkState: make([]int8, n),
-		walkVal:   make([]int32, n),
-		walkViol:  make([]int32, n),
-		visited:   make([]bool, n),
-		mark:      make([]bool, n),
-		queue:     make([]int, 0, n),
-		radj:      make([][]int, n),
-		aadj:      make([][]int, n),
-		acolor:    make([]int8, n),
-		adepth:    make([]int32, n),
+	g := &grid{
+		sys:      sys,
+		rt:       rt,
+		raw:      raw,
+		opt:      opt,
+		routers:  make([]*router.Router, n),
+		chiplet:  make([]int32, n),
+		dests:    sampleInts(sys.Cores, opt.MaxDests),
+		sources:  sampleInts(sys.Cores, opt.MaxSources),
+		tags:     tagSet(sys),
+		pairBase: make([]int32, n+1),
+		stride:   int32(max(sys.LP.VCs, 1)),
 	}
 	for _, r := range sys.Fabric.Routers {
-		a.routers[r.Node] = r
+		g.routers[r.Node] = r
 	}
 	for v := range sys.Nodes {
-		a.chiplet[v] = int32(sys.Nodes[v].Chiplet)
-		a.pairBase[v] = int32(len(a.pairFrom))
+		g.chiplet[v] = int32(sys.Nodes[v].Chiplet)
+		g.pairBase[v] = int32(len(g.pairFrom))
 		for range sys.Nodes[v].Ports {
-			a.pairFrom = append(a.pairFrom, int32(v))
+			g.pairFrom = append(g.pairFrom, int32(v))
 		}
 	}
-	a.pairBase[n] = int32(len(a.pairFrom))
-	a.pairs = make([]pairInfo, len(a.pairFrom))
+	g.pairBase[n] = int32(len(g.pairFrom))
+	g.pairs = make([]pairInfo, len(g.pairFrom))
 	for v := range sys.Nodes {
 		for i := range sys.Nodes[v].Ports {
-			o := a.routers[v].Out[i]
+			o := g.routers[v].Out[i]
 			pi := pairInfo{far: -1, vcs: int32(len(o.Credits)), first: -1}
 			if o.Link != nil {
 				pi.far = int32(o.Link.Dst.Node)
-				pi.first = a.pair(v, o.Link.Dst.Node)
+				pi.first = g.pair(v, o.Link.Dst.Node)
 			}
-			a.pairs[a.pairBase[v]+int32(i)] = pi
+			g.pairs[g.pairBase[v]+int32(i)] = pi
 		}
 	}
-	a.ndense = int32(len(a.pairFrom)) * a.stride
-	a.c1 = make([]bool, a.ndense)
-	a.adj = make([][]int32, a.ndense)
-	a.seen = make([][]int32, a.ndense)
-	return a
+	g.ndense = int32(len(g.pairFrom)) * g.stride
+	return g
+}
+
+// newAnalyzer returns a pass-1 block over g that reports into rep and
+// streams its states into sink.
+func newAnalyzer(g *grid, rep *Report, sink StateStream) *analyzer {
+	n := len(g.sys.Nodes)
+	return &analyzer{
+		grid:  g,
+		rep:   rep,
+		sink:  sink,
+		extra: make(map[Channel]int32),
+		c1:    make([]bool, g.ndense),
+		seen:  make([]int32, g.ndense),
+		roundScratch: roundScratch{
+			escState:  make([]int8, n),
+			escNext:   make([]int, n),
+			escVC:     make([]int, n),
+			escCh:     make([]int32, n),
+			walkState: make([]int8, n),
+			walkVal:   make([]int32, n),
+			walkViol:  make([]int32, n),
+			visited:   make([]bool, n),
+			mark:      make([]bool, n),
+			queue:     make([]int, 0, n),
+			radj:      make([][]int, n),
+			aadj:      make([][]int, n),
+			acolor:    make([]int8, n),
+			adepth:    make([]int32, n),
+		},
+	}
 }
 
 // pair returns the pair id of the first port of from leading to to, or -1.
-func (a *analyzer) pair(from, to int) int32 {
-	for i, pt := range a.sys.Nodes[from].Ports {
+func (g *grid) pair(from, to int) int32 {
+	for i, pt := range g.sys.Nodes[from].Ports {
 		if pt.To == to {
-			return a.pairBase[from] + int32(i)
+			return g.pairBase[from] + int32(i)
 		}
 	}
 	return -1
@@ -398,7 +460,9 @@ func (a *analyzer) intern(from, to, vc int) int32 {
 	a.extra[ch] = id
 	a.extraCh = append(a.extraCh, ch)
 	a.c1 = append(a.c1, false)
-	a.adj = append(a.adj, nil)
+	if a.adj != nil {
+		a.adj = append(a.adj, nil)
+	}
 	return id
 }
 
@@ -483,8 +547,8 @@ func (a *analyzer) round(dst, tag int) {
 			continue
 		}
 		a.rep.States++
-		if a.opt.Sink != nil {
-			a.opt.Sink.State(v, dst, tag, a.cands, nsort)
+		if a.sink != nil {
+			a.sink.State(v, dst, tag, a.cands, nsort)
 		}
 		if _, evc, eok := a.escape(v); eok {
 			if evc < 0 || evc >= vcs {
@@ -554,8 +618,7 @@ func (a *analyzer) record() {
 		case escNone:
 			cont = -1
 		default:
-			a.rec = append(a.rec, depRec{from: int32(len(a.unasked)), to: contUnasked, round: round})
-			a.unasked = append(a.unasked, h)
+			a.addUnasked(h, round)
 			continue
 		}
 		if cont < 0 {
@@ -563,23 +626,28 @@ func (a *analyzer) record() {
 		}
 		base := h.pair * a.stride
 		for m := h.mask; m != 0; m &= m - 1 {
-			if from := base + int32(bits.TrailingZeros32(m)); a.firstSeen(from, cont) {
-				a.rec = append(a.rec, depRec{from: from, to: cont, round: round})
-			}
+			a.addDepRec(base+int32(bits.TrailingZeros32(m)), cont, round)
 		}
 	}
 }
 
-// firstSeen reports whether the potential dependency from -> to is new,
-// and remembers it.
-func (a *analyzer) firstSeen(from, to int32) bool {
-	for _, t := range a.seen[from] {
-		if t == to {
-			return false
+// addDepRec records the potential dependency from -> to, first induced in
+// round, unless it is already recorded: the entries from one channel are
+// chained through prev from seen[from], so the check walks only those.
+func (a *analyzer) addDepRec(from, to, round int32) {
+	for i := a.seen[from]; i != 0; i = a.rec[i-1].prev {
+		if a.rec[i-1].to == to {
+			return
 		}
 	}
-	a.seen[from] = append(a.seen[from], to)
-	return true
+	a.rec = append(a.rec, depRec{from: from, to: to, round: round, prev: a.seen[from]})
+	a.seen[from] = int32(len(a.rec))
+}
+
+// addUnasked records hop h of round, whose continuation was never asked.
+func (a *analyzer) addUnasked(h linkHop, round int32) {
+	a.rec = append(a.rec, depRec{from: int32(len(a.unasked)), to: contUnasked, round: round})
+	a.unasked = append(a.unasked, h)
 }
 
 // replay is pass 2 under Duato's protocol: the extended CDG. A packet can
