@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"chipletnet/internal/checkpoint"
 	"chipletnet/internal/energy"
@@ -230,6 +231,9 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 	cfg := s.Cfg
 	f := s.Topo.Fabric
 	total := cfg.WarmupCycles + cfg.MeasureCycles
+	stepping.Add(1)
+	defer stepping.Add(-1)
+	defer f.Close()
 
 	// Chain the source into the sink so dependency-driven sources observe
 	// every delivery in the engines' deterministic sink order (a delivery
@@ -317,6 +321,12 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 		if eng != nil {
 			if simErr = eng.Step(cy); simErr != nil {
 				break
+			}
+		}
+		if s.auto {
+			f.IslandGrain = math.MaxInt
+			if stepping.Load() == 1 {
+				f.IslandGrain = grainAt(cy)
 			}
 		}
 		f.Step()

@@ -76,7 +76,9 @@ func main() {
 	asJSON := fs.Bool("json", false, "emit the full report as JSON on stdout")
 	fs.Engine()
 	verbose := fs.Bool("v", false, "list pruned and rejected candidates on stderr")
+	fs.Profile()
 	fs.MustParse()
+	defer cli.StopProfiles()
 
 	if fs.NArg() > 0 {
 		cli.Fatalf("unexpected arguments %v", fs.Args())
@@ -189,7 +191,7 @@ func main() {
 			exit = 2
 		}
 	}
-	os.Exit(exit)
+	cli.Exit(exit)
 }
 
 // printFrontier writes the human-readable ranking: the Pareto frontier

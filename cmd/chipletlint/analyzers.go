@@ -110,9 +110,12 @@ var wallclockAnalyzer = &analysis.Analyzer{
 // result, and no other internal file gets the exemption, so accidental
 // concurrency elsewhere still fails the lint:
 //   - internal/router/islands.go, the parallel-islands cycle engine: its
-//     per-cycle worker goroutines are proven schedule-independent by the
-//     three-way differential-equivalence matrix and the -race test-equiv
-//     gate;
+//     persistent island workers (K-1 per fabric, started at the first
+//     parallel cycle, handed each phase through a reusable barrier and
+//     stopped by Fabric.Close or when the fabric is collected) are
+//     proven schedule-independent by the three-way
+//     differential-equivalence matrix and the -race test-equiv gate, and
+//     their lifetime by TestRunReleasesWorkers;
 //   - internal/verify/blocks.go, the certifier's pass 1 split into
 //     destination blocks: blocks share nothing they write and merge in
 //     round order, which TestCertifyIndependentOfBlocks checks under

@@ -98,11 +98,12 @@ func f() { go func() {}() }`
 }
 
 func TestIslandsEngineExemptFromGoroutineRule(t *testing.T) {
-	// The parallel-islands engine is the single sanctioned intra-run
-	// concurrency in the simulator core; its schedule-independence is
-	// proven by the three-way equivalence matrix under -race, so
-	// internal/router/islands.go — and only that file — may spawn
-	// goroutines.
+	// The parallel-islands engine is the sanctioned intra-run
+	// concurrency of the cycle engine: each fabric's persistent island
+	// workers, started once and stopped by Close or collection. Their
+	// schedule-independence is proven by the three-way equivalence
+	// matrix under -race, so internal/router/islands.go — and only that
+	// file in the package — may spawn goroutines.
 	src := `package router
 func f() { go func() {}() }`
 	if fs := lintSource(t, "internal/router", "islands.go", src); len(fs) != 0 {

@@ -77,7 +77,9 @@ func main() {
 	ckptEvery := fs.Int64("checkpoint-every", 0, "snapshot every N simulated cycles (requires -checkpoint)")
 	resumePath := fs.String("resume", "", "resume from a checkpoint file (its embedded config replaces all topology/workload flags)")
 	timeout := fs.Duration("timeout", 0, "abort a runaway simulation after this wall-clock time with a diagnostic snapshot (e.g. 30m)")
+	fs.Profile()
 	fs.MustParse()
+	defer cli.StopProfiles()
 
 	// Fault completeness accounting needs a drain window to be meaningful.
 	if cfg.Fault.Enabled() && cfg.DrainCycles == 0 && !fs.IsSet("drain") {
@@ -133,7 +135,7 @@ func main() {
 	switch {
 	case errors.Is(err, chipletnet.ErrInterrupted):
 		cli.Logf("interrupted; checkpoint written to %s (resume with -resume %s)", *ckptPath, *ckptPath)
-		os.Exit(130)
+		cli.Exit(130)
 	case errors.Is(err, chipletnet.ErrTimeout):
 		cli.Logf("wall-clock timeout after %v", *timeout)
 		if res.DeadlockReport != nil {
@@ -142,7 +144,7 @@ func main() {
 		if *asJSON {
 			cli.WriteJSON(res)
 		}
-		os.Exit(2)
+		cli.Exit(2)
 	case errors.Is(err, checkpoint.ErrMismatch):
 		// -resume with a checkpoint whose snapshot no longer fits its
 		// embedded configuration (edited, truncated, or from another
@@ -170,7 +172,7 @@ func main() {
 			cli.Fatalf("%v", err)
 		}
 		if res.Deadlocked {
-			os.Exit(2)
+			cli.Exit(2)
 		}
 		return
 	}
@@ -189,7 +191,7 @@ func main() {
 		if res.DeadlockReport != nil {
 			fmt.Println(res.DeadlockReport)
 		}
-		os.Exit(2)
+		cli.Exit(2)
 	}
 	fmt.Printf("latency:       avg %.1f  p50 %.0f  p95 %.0f  p99 %.0f  p999 %.0f  max %d cycles\n",
 		res.AvgLatency, res.P50Latency, res.P95Latency, res.P99Latency, res.P999Latency, res.MaxLatency)

@@ -150,3 +150,38 @@ func TestJSONEmptyWindow(t *testing.T) {
 		t.Errorf("AvgLatency %v over %d measured packets, want 0 over 0", res.AvgLatency, res.MeasuredPackets)
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write files that
+// `go tool pprof` reads, both when chipletsim returns from main and when
+// it exits through a diagnostic (exit 1).
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go tool pprof")
+	}
+	dir := t.TempDir()
+	check := func(path, want string) {
+		t.Helper()
+		out, err := exec.Command("go", "tool", "pprof", "-raw", path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go tool pprof -raw %s: %v\n%s", path, err, out)
+		}
+		if !strings.Contains(string(out), want) {
+			t.Errorf("%s does not read as a %q profile:\n%s", path, want, out)
+		}
+	}
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	runChild(t, "-topology hypercube -dims 2 -warmup 50 -measure 200 -cpuprofile "+cpu+" -memprofile "+mem)
+	check(cpu, "PeriodType: cpu nanoseconds")
+	check(mem, "alloc_space/bytes")
+
+	cpu, mem = filepath.Join(dir, "cpu1.prof"), filepath.Join(dir, "mem1.prof")
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CHIPLETSIM_CHILD=1",
+		"CHIPLETSIM_ARGS=-checkpoint-every 5 -cpuprofile "+cpu+" -memprofile "+mem)
+	var exitErr *exec.ExitError
+	if out, err := cmd.CombinedOutput(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("-checkpoint-every without -checkpoint: %v, want exit 1\n%s", err, out)
+	}
+	check(cpu, "PeriodType: cpu nanoseconds")
+	check(mem, "alloc_space/bytes")
+}

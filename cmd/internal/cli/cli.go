@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -29,7 +31,27 @@ func Logf(format string, args ...any) {
 // Fatalf reports one line on stderr and exits 1.
 func Fatalf(format string, args ...any) {
 	Logf(format, args...)
-	os.Exit(1)
+	Exit(1)
+}
+
+// Exit writes the profiles -cpuprofile and -memprofile asked for and
+// exits with code.
+func Exit(code int) {
+	StopProfiles()
+	os.Exit(code)
+}
+
+// stopProfiles finishes the profiles Parse started; nil when none run.
+var stopProfiles func()
+
+// StopProfiles stops the CPU profile and writes the allocation profile
+// that -cpuprofile and -memprofile asked for, once. Exit and Fatalf call
+// it; a command that returns from main defers it.
+func StopProfiles() {
+	if stop := stopProfiles; stop != nil {
+		stopProfiles = nil
+		stop()
+	}
 }
 
 // WriteJSON writes v to stdout as indented JSON.
@@ -47,6 +69,8 @@ type FlagSet struct {
 	file   string             // the -config path
 	engine *string            // the -engine value; nil without -engine
 	bad    error              // the value a Bind flag rejected
+	// cpuProfile and memProfile are the -cpuprofile and -memprofile paths.
+	cpuProfile, memProfile string
 }
 
 // New returns the flag set of the named command, which also becomes the
@@ -170,7 +194,64 @@ func (f *FlagSet) ConfigFile(cfg *chipletnet.Config) {
 // Engine registers -engine; Parse installs the chosen cycle engine.
 func (f *FlagSet) Engine() {
 	f.engine = f.String("engine", "active",
-		"cycle engine: active | reference | islands[:K] (bit-identical results; reference is the slow oracle for bisecting engine bugs, islands steps K partitions in parallel)")
+		"cycle engine: active | reference | islands[:K] (bit-identical results; active steps the busy cycles of a lone run on all CPUs, reference is the slow oracle for bisecting engine bugs, islands steps every cycle of K partitions in parallel)")
+}
+
+// Profile registers -cpuprofile and -memprofile: Parse starts the CPU
+// profile, and StopProfiles (through Exit or Fatalf, or deferred in
+// main) writes both files.
+func (f *FlagSet) Profile() {
+	f.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the command to `file`")
+	f.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile to `file` when the command ends")
+}
+
+// startProfiles starts the CPU profile and arms StopProfiles.
+func (f *FlagSet) startProfiles() error {
+	if f.cpuProfile == "" && f.memProfile == "" {
+		return nil
+	}
+	var cpu *os.File
+	if f.cpuProfile != "" {
+		fh, err := os.Create(f.cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(fh); err != nil {
+			fh.Close()
+			return err
+		}
+		cpu = fh
+	}
+	mem := f.memProfile
+	stopProfiles = func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				Logf("-cpuprofile: %v", err)
+			}
+		}
+		if mem != "" {
+			if err := writeAllocs(mem); err != nil {
+				Logf("-memprofile: %v", err)
+			}
+		}
+	}
+	return nil
+}
+
+// writeAllocs writes the allocation profile, after a collection so that
+// its in-use figures are current, as go test -memprofile does.
+func writeAllocs(path string) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(fh, 0); err != nil {
+		fh.Close()
+		return err
+	}
+	return fh.Close()
 }
 
 // IsSet reports whether the command line set the named flag.
@@ -185,7 +266,7 @@ type usageError struct{ error }
 
 // Parse parses args, installs the -engine choice and, with -config,
 // loads the file and parses args again over it, so exactly the flags the
-// user set override the file. Every error it returns has been reported
+// user set override the file. Last it starts the -cpuprofile. Every error it returns has been reported
 // on stderr: flag.ErrHelp and a malformed command line by the flag
 // package, anything else as one diagnostic line.
 func (f *FlagSet) Parse(args []string) error {
@@ -209,6 +290,9 @@ func (f *FlagSet) Parse(args []string) error {
 		if err = f.load(); err == nil {
 			err = f.FlagSet.Parse(args)
 		}
+	}
+	if err == nil {
+		err = f.startProfiles()
 	}
 	if err != nil {
 		Logf("%v", err)

@@ -18,10 +18,10 @@ import (
 var surface = map[string]map[string]string{
 	"chipletsim": {
 		"checkcredits": "", "checkpoint": "", "checkpoint-every": "", "config": "",
-		"dims": "6", "drain": "", "dump-config": "", "engine": "active",
+		"cpuprofile": "", "dims": "6", "drain": "", "dump-config": "", "engine": "active",
 		"fault-backoff-max": "", "fault-ber": "", "fault-degrade": "", "fault-kill": "",
 		"fault-no-reverify": "", "fault-onchip-ber": "", "fault-timeout": "",
-		"interleave": "message", "json": "", "measure": "5000", "noc": "4x4",
+		"interleave": "message", "json": "", "measure": "5000", "memprofile": "", "noc": "4x4",
 		"offchip-bw": "2", "offchip-latency": "5", "pattern": "uniform", "rate": "0.1",
 		"resume": "", "routing": "duato", "seed": "1", "timeout": "",
 		"topology": "hypercube", "vcs": "2", "warmup": "1000", "workload": "",
@@ -35,8 +35,9 @@ var surface = map[string]map[string]string{
 		"chiplet": "", "dims": "6", "noc": "4x4", "sim": "", "topology": "hypercube",
 	},
 	"chipletdse": {
-		"cache": "", "chiplets": "16", "engine": "active", "interleave": "none,message,packet",
-		"json": "", "max-ports": "", "measure": "1500", "merge": "", "min-group-width": "",
+		"cache": "", "chiplets": "16", "cpuprofile": "", "engine": "active",
+		"interleave": "none,message,packet", "json": "", "max-ports": "", "measure": "1500",
+		"memprofile": "", "merge": "", "min-group-width": "",
 		"noc": "4x4", "offchip-bw": "2", "out": "", "pattern": "uniform", "pin-budget": "",
 		"rates": "0.05,0.15,0.3,0.5,0.8", "routing": "all: mfr,adaptive,equal-channel",
 		"seed": "1", "topologies": "all: mesh,ndmesh,ndtorus,hypercube,dragonfly,tree",

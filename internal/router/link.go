@@ -26,6 +26,9 @@ type Link struct {
 	// OffChip marks chiplet-to-chiplet links; they are counted separately
 	// by the energy model and may incur a VC-allocation penalty.
 	OffChip bool
+	// island is the owning island under the islands engine, or -1 when
+	// the link is exchanged serially (islands.go, classify).
+	island int32
 
 	// Carried counts flits pushed onto the link over the whole run
 	// (retransmitted copies included); utilization follows as

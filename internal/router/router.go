@@ -205,6 +205,8 @@ type Router struct {
 	// grants == 0 has every VC idle and can safely be skipped by the
 	// cycle engine: vcAllocate and switchAllocate are both no-ops then.
 	grants int
+	// island is the owning island under the islands engine.
+	island int32
 }
 
 // rebuildDerived recomputes the router's counters and its ports'
