@@ -19,11 +19,12 @@ import "math/bits"
 
 // wakeRouter marks r live for the cycle engine (idempotent, O(1)).
 // Called by VC.startHead whenever a head packet enters the pipeline.
-// Under the islands engine the bit lands in the owning island's bitmap
-// instead (see islands.go for why that is race-free).
+// While the islands engine has the sets split, the bit lands in the
+// owning island's bitmap instead (see islands.go for why that is
+// race-free).
 func (f *Fabric) wakeRouter(r *Router) {
-	if f.isl != nil {
-		f.isl.wakeRouter(r)
+	if f.split != nil {
+		f.split.wakeRouter(r)
 		return
 	}
 	f.routerActive[r.idx>>6] |= 1 << uint(r.idx&63)
@@ -31,11 +32,11 @@ func (f *Fabric) wakeRouter(r *Router) {
 
 // wakeLink marks l live for the cycle engine (idempotent, O(1)).
 // Called by Link.push (from = l.Src) and Link.returnCredit (from = l.Dst)
-// whenever traffic enters the link's pipelines; the islands engine files
-// the wake under from's island.
+// whenever traffic enters the link's pipelines; while the islands
+// engine has the sets split, it files the wake under from's island.
 func (f *Fabric) wakeLink(l *Link, from *Router) {
-	if f.isl != nil {
-		f.isl.wakeLink(l, from)
+	if f.split != nil {
+		f.split.wakeLink(l, from)
 		return
 	}
 	f.linkActive[l.ID>>6] |= 1 << uint(l.ID&63)
@@ -133,11 +134,12 @@ func (f *Fabric) rebuildActive() {
 	clear(f.linkActive)
 	if f.isl != nil {
 		// Island bitmaps and the link classification are derived state
-		// too: zero them and reclassify before any wake routes a bit, so
-		// a link that gained or lost a reliability protocol since the
-		// last epoch lands in the right (serial vs island) set.
+		// too: zero them and merge the sets, so every wake below lands in
+		// the fabric's bitmaps and the next parallel cycle reclassifies
+		// (a link may have gained or lost a reliability protocol since
+		// the last epoch) before it scatters them.
 		f.isl.reset()
-		f.isl.classify(f)
+		f.split = nil
 	}
 	for _, r := range f.Routers {
 		r.rebuildDerived()
