@@ -42,6 +42,10 @@ test-checkpoint:
 	$(GO) test -race ./internal/checkpoint ./internal/packet
 	$(GO) test -race -run 'Journal|Campaign' ./internal/experiments ./cmd/chipletfig
 
+# EQUIV_RACE names the tests test-equiv runs under the race detector;
+# check's final -race pass skips them.
+EQUIV_RACE = EngineEquivalence|EngineCheckpoint|ActiveSetMatchesReference|ActiveSetMasksMatchState|VCAllocateScanOrder|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism|LoneRunDeterminism|IslandWorkers|IslandGrain|UnclosedFabric|WorkerPanic|RunReleasesWorkers
+
 # test-equiv runs the engine-equivalence gates under the race detector:
 # the three-way differential matrix (reference stepper x active-set
 # engine built with one island (on the matrix's fabrics, the default as
@@ -65,13 +69,14 @@ test-checkpoint:
 # cycles, stopped by Close, by collection and by every way a run ends,
 # a worker's panic raised on the caller (IslandWorkers, IslandGrain,
 # UnclosedFabric, WorkerPanic, RunReleasesWorkers); then the zero-alloc and active-set invariant tests without
-# it (AllocsPerRun is meaningless under -race). Nothing here searches,
+# it (AllocsPerRun is meaningless under -race), with the allocation
+# count of one Build (BuildAllocs). Nothing here searches,
 # so a red gate reproduces on re-run. The CompiledEngineEquivalence and
 # CompiledRefusesUncertified tests match the EngineEquivalence pattern by
 # substring.
 test-equiv:
-	$(GO) test -race -timeout 30m -run 'EngineEquivalence|EngineCheckpoint|ActiveSetMatchesReference|ActiveSetMasksMatchState|VCAllocateScanOrder|CompiledRefusesUncertified|IslandPartition|IslandsDeterminism|LoneRunDeterminism|IslandWorkers|IslandGrain|UnclosedFabric|WorkerPanic|RunReleasesWorkers' . ./internal/router
-	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|AuditCredits' ./internal/router
+	$(GO) test -race -timeout 30m -run '$(EQUIV_RACE)' . ./internal/router
+	$(GO) test -run 'ZeroAlloc|ActiveSet|DrainedFabric|AuditCredits|BuildAllocs' ./internal/router
 
 # fuzz runs 30-second coverage-guided searches of the engine-equivalence
 # and island-partition fuzz targets. It is not part of check: a random
@@ -187,11 +192,13 @@ bench-compare:
 	$(GO) run ./bench -compare $$a $$b
 
 # check is the pre-PR gate: gofmt, go vet, build, the full test suite
-# under the race detector (including the -race equivalence matrices of
-# test-equiv) and the determinism linter over ./... . It runs no
-# wall-clock gate; performance is judged by bench-compare.
+# under the race detector and the determinism linter over ./... . The
+# final -race pass skips the EQUIV_RACE tests (all in . and
+# ./internal/router), which test-equiv has just run under -race, so each
+# runs there once. It runs no wall-clock gate; performance is judged by
+# bench-compare.
 check: fmt vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 20m -skip '$(EQUIV_RACE)' ./...
 	$(GO) run ./cmd/chipletlint ./...
 
 figures:

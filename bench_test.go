@@ -14,6 +14,7 @@
 package chipletnet_test
 
 import (
+	"fmt"
 	"testing"
 
 	"chipletnet"
@@ -295,6 +296,29 @@ func BenchmarkSimulateSingleIdle(b *testing.B) {
 // at 0.30 load, where most routers are busy.
 func BenchmarkSimulateSingleLoaded(b *testing.B) {
 	benchSimulate(b, chipletnet.HypercubeTopology(8), 0.30, 100, 500)
+}
+
+// BenchmarkBuild times Build alone on the single-idle (hypercube(6)) and
+// single-loaded (hypercube(8)) shapes and a small hypercube(4), so that
+//
+//	go test -run '^$' -bench Build/ -benchmem -cpuprofile cpu.out
+//
+// profiles construction apart from stepping.
+func BenchmarkBuild(b *testing.B) {
+	for _, dims := range []int{4, 6, 8} {
+		b.Run(fmt.Sprintf("hypercube-%d", dims), func(b *testing.B) {
+			cfg := chipletnet.DefaultConfig()
+			cfg.Topology = chipletnet.HypercubeTopology(dims)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := chipletnet.Build(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Topo.Fabric.Close()
+			}
+		})
+	}
 }
 
 // compiledShapes are the five 64-chiplet systems of bench/'s

@@ -11,3 +11,6 @@ func workers(f *Fabric) int {
 	}
 	return len(f.isl.crew.workers)
 }
+
+// RaceEnabled reports raceEnabled to the external test package.
+const RaceEnabled = raceEnabled

@@ -97,7 +97,26 @@ type Fabric struct {
 	// auditCharged/auditReturning are AuditCredits scratch buffers, kept
 	// on the fabric so a per-cycle audit (-checkcredits) does not allocate.
 	auditCharged, auditReturning []int
+
+	// The component slabs (slab.go): NewRouter, AddInPort, AddOutPort,
+	// ConnectPorts and MakeEjection carve every router, port, VC and
+	// link, and the backing arrays of Router.In/Out, InPort.VCs and
+	// OutPort.Credits/Owner, from these in creation order.
+	routerSlab slab[Router]
+	inSlab     slab[InPort]
+	outSlab    slab[OutPort]
+	vcSlab     slab[VC]
+	linkSlab   slab[Link]
+	inPtrs     slab[*InPort]
+	outPtrs    slab[*OutPort]
+	vcPtrs     slab[*VC]
+	ints       slab[int]
 }
+
+// portsPerRouter is the capacity carved for a new router's In and Out
+// slices: a local port, four mesh ports and three off-chip ports. A
+// router given more ports reallocates its own slice.
+const portsPerRouter = 8
 
 // NewFabric returns an empty fabric with deadlock detection enabled.
 func NewFabric() *Fabric {
@@ -106,7 +125,11 @@ func NewFabric() *Fabric {
 
 // NewRouter appends a router implementing global node id and returns it.
 func (f *Fabric) NewRouter(node int) *Router {
-	r := &Router{Node: node, Fabric: f, idx: len(f.Routers), vaOffset: node}
+	r := f.routerSlab.put(Router{
+		Node: node, Fabric: f, idx: len(f.Routers), vaOffset: node,
+		In:  f.inPtrs.carve(portsPerRouter)[:0],
+		Out: f.outPtrs.carve(portsPerRouter)[:0],
+	})
 	f.Routers = append(f.Routers, r)
 	for len(f.routerActive)*64 < len(f.Routers) {
 		f.routerActive = append(f.routerActive, 0)
@@ -133,17 +156,17 @@ func (f *Fabric) ConnectPorts(src *Router, srcPort int, dst *Router, dstPort, ba
 	if ip.Link != nil {
 		panic(fmt.Sprintf("router %d: input port %d already connected", dst.Node, dstPort))
 	}
-	l := &Link{
+	l := f.linkSlab.put(Link{
 		ID:  len(f.Links),
 		Src: src, SrcPort: srcPort,
 		Dst: dst, DstPort: dstPort,
 		Bandwidth: bandwidth,
 		Latency:   latency,
 		OffChip:   offChip,
-	}
+	})
 	op.Link = l
-	op.Credits = make([]int, len(ip.VCs))
-	op.Owner = make([]*VC, len(ip.VCs))
+	op.Credits = f.ints.carve(len(ip.VCs))
+	op.Owner = f.vcPtrs.carve(len(ip.VCs))
 	for i, vc := range ip.VCs {
 		op.Credits[i] = vc.Cap
 	}
@@ -161,8 +184,8 @@ func (f *Fabric) ConnectPorts(src *Router, srcPort int, dst *Router, dstPort, ba
 func (f *Fabric) MakeEjection(r *Router, port, vcSlots, bandwidth int) {
 	op := r.Out[port]
 	op.EjectBandwidth = bandwidth
-	op.Credits = make([]int, vcSlots)
-	op.Owner = make([]*VC, vcSlots)
+	op.Credits = f.ints.carve(vcSlots)
+	op.Owner = f.vcPtrs.carve(vcSlots)
 	for i := range op.Credits {
 		op.Credits[i] = ejectCredits
 	}

@@ -2,7 +2,9 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -143,6 +145,49 @@ func TestIslandGrainSwitchesActiveSets(t *testing.T) {
 	}
 	if f.InFlight() != 0 {
 		t.Fatalf("%d packets still in flight", f.InFlight())
+	}
+}
+
+// TestIslandGrainMergeKeepsSerialWakes steps a line under the islands
+// engine (K = 2: routers 0-2 and 3-5, so link 2->3 is the cut) beside
+// the same line under the active-set engine, flipping the grain every
+// cycle, and compares the link active sets after every cycle. Each
+// packet is one bundle long, so the cut link is pushed once per packet
+// and its Dst returns no credit until the bundle has arrived: when the
+// push falls in a parallel cycle, the wake waits in island 0's
+// serialWake, and nothing re-arms the link in the serial cycle after
+// it. Packets enter 7 cycles apart, so their pushes fall on both cycle
+// parities. A merge that clears serialWake without ORing it into the
+// fabric's linkActive (dropping `or(f.linkActive, s.serialWake)` in
+// islandState.merge) fails here at the first serial cycle after such a
+// push, while FuzzIslandPartition's seeds pass, because there a later
+// credit return on the link re-arms it before its flit is due.
+func TestIslandGrainMergeKeepsSerialWakes(t *testing.T) {
+	serial := buildLine(6, 2, 32, 2, 3)
+	isl := buildLine(6, 2, 32, 2, 3)
+	engine{name: "islands-2", islands: 2}.apply(isl)
+	defer isl.Close()
+	for cy := int64(0); cy < 120; cy++ {
+		if cy < 40 && cy%7 == 0 {
+			for _, f := range []*Fabric{serial, isl} {
+				f.Routers[0].Inject(mkPacket(uint64(cy), 0, 5, 2, cy), cy)
+			}
+		}
+		isl.IslandGrain = 0
+		if cy%2 == 1 {
+			isl.IslandGrain = math.MaxInt
+		}
+		serial.Step()
+		isl.Step()
+		_, want := serial.ActiveSets()
+		_, got := isl.ActiveSets()
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d (parallel %v): link active set %x, active-set engine %x",
+				isl.Now, isl.split != nil, got, want)
+		}
+	}
+	if serial.InFlight() != 0 || isl.InFlight() != 0 {
+		t.Fatalf("%d and %d packets still in flight", serial.InFlight(), isl.InFlight())
 	}
 }
 

@@ -238,9 +238,10 @@ func (r *Router) AddInPort(vcs, capFlits int) *InPort {
 	if vcs > maxPortVCs {
 		panic(fmt.Sprintf("router %d: %d VCs on one input port, at most %d", r.Node, vcs, maxPortVCs))
 	}
-	ip := &InPort{Router: r, Index: len(r.In)}
-	for i := 0; i < vcs; i++ {
-		ip.VCs = append(ip.VCs, &VC{Port: ip, Index: i, Cap: capFlits})
+	f := r.Fabric
+	ip := f.inSlab.put(InPort{Router: r, Index: len(r.In), VCs: f.vcPtrs.carve(vcs)})
+	for i := range ip.VCs {
+		ip.VCs[i] = f.vcSlab.put(VC{Port: ip, Index: i, Cap: capFlits})
 	}
 	r.In = append(r.In, ip)
 	return ip
@@ -249,7 +250,7 @@ func (r *Router) AddInPort(vcs, capFlits int) *InPort {
 // AddOutPort appends an output port and returns it. Credit counters are
 // sized when the link is attached (or set up for ejection).
 func (r *Router) AddOutPort() *OutPort {
-	op := &OutPort{Router: r, Index: len(r.Out)}
+	op := r.Fabric.outSlab.put(OutPort{Router: r, Index: len(r.Out)})
 	r.Out = append(r.Out, op)
 	return op
 }

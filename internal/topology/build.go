@@ -10,10 +10,15 @@ import (
 // injectQueueCap is the effectively-unbounded source queue capacity.
 const injectQueueCap = 1 << 30
 
-// newSystem creates the routers and on-chip meshes for numChiplets chiplets
-// and fills in all per-node metadata. Cross-chiplet ports are added by the
-// per-topology builders via addCrossPair (or addMeshStitch for FlatMesh);
-// wire() then instantiates every link.
+// portsPerNode is the capacity carved for a node's Ports: a local port,
+// four mesh ports and three off-chip ports. A node given more ports
+// reallocates its own slice.
+const portsPerNode = 8
+
+// newSystem lays out numChiplets chiplets and their on-chip meshes and
+// fills in all per-node metadata. Cross-chiplet ports are added by the
+// per-topology builders via addCrossPair (or addCrossPort for FlatMesh
+// stitches); wire() then instantiates every router, port and link.
 func newSystem(kind Kind, geo chiplet.Geometry, numChiplets int, gr chiplet.Grouping, lp LinkParams) (*System, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
@@ -32,14 +37,35 @@ func newSystem(kind Kind, geo chiplet.Geometry, numChiplets int, gr chiplet.Grou
 	ring := geo.Ring()
 	s.Nodes = make([]Node, numChiplets*per)
 	s.Chiplets = make([]Chiplet, numChiplets)
+	// Every node's Ports, and every chiplet's node and ring maps and
+	// group member lists (pre-sized to the group widths), are carved
+	// capacity-clipped from one backing array each.
+	ports := make([]Port, len(s.Nodes)*portsPerNode)
+	grouped := 0
+	for _, size := range gr.Size {
+		grouped += size
+	}
+	ints := make([]int, numChiplets*(per+len(ring)+grouped))
+	carve := func(n int) []int {
+		c := ints[:n:n]
+		ints = ints[n:]
+		return c
+	}
+	var groups [][]int
+	if gr.Groups() > 0 {
+		groups = make([][]int, numChiplets*gr.Groups())
+	}
 
 	for c := 0; c < numChiplets; c++ {
 		ch := &s.Chiplets[c]
 		ch.Index = c
-		ch.Nodes = make([]int, per)
-		ch.Ring = make([]int, len(ring))
+		ch.Nodes = carve(per)
+		ch.Ring = carve(len(ring))
 		if gr.Groups() > 0 {
-			ch.Groups = make([][]int, gr.Groups())
+			ch.Groups = groups[c*gr.Groups() : (c+1)*gr.Groups() : (c+1)*gr.Groups()]
+			for g, size := range gr.Size {
+				ch.Groups[g] = carve(size)[:0]
+			}
 		}
 		for i := 0; i < per; i++ {
 			id := c*per + i
@@ -50,6 +76,7 @@ func newSystem(kind Kind, geo chiplet.Geometry, numChiplets int, gr chiplet.Grou
 				ID: id, Chiplet: c, X: x, Y: y,
 				Label:   geo.Label(x, y),
 				RingPos: geo.RingPos(x, y),
+				Ports:   ports[id*portsPerNode : id*portsPerNode : (id+1)*portsPerNode],
 				Group:   -1, GroupSlot: -1,
 			}
 			if n.RingPos >= 0 {
@@ -64,20 +91,13 @@ func newSystem(kind Kind, geo chiplet.Geometry, numChiplets int, gr chiplet.Grou
 				s.Cores = append(s.Cores, id)
 			}
 
-			// Router with local (injection/ejection) port 0.
-			r := s.Fabric.NewRouter(id)
-			r.AddInPort(1, injectQueueCap)
-			r.AddOutPort()
-			s.Fabric.MakeEjection(r, 0, lp.VCs, lp.EjectBW)
+			// Local (injection/ejection) port 0, then the on-chip mesh
+			// ports.
 			n.Ports = append(n.Ports, Port{Dir: DirLocal, To: -1})
-
-			// On-chip mesh ports.
 			addMesh := func(d Dir, nx, ny int) {
 				if nx < 0 || ny < 0 || nx >= geo.W || ny >= geo.H {
 					return
 				}
-				r.AddInPort(lp.VCs, lp.InternalBufFlits)
-				r.AddOutPort()
 				n.Ports = append(n.Ports, Port{Dir: d, To: c*per + geo.Index(nx, ny)})
 			}
 			addMesh(DirXPlus, x+1, y)
@@ -94,9 +114,6 @@ func newSystem(kind Kind, geo chiplet.Geometry, numChiplets int, gr chiplet.Grou
 // for FlatMesh stitches). The input side uses the interface buffer size.
 func (s *System) addCrossPort(id, to int, d Dir) {
 	n := &s.Nodes[id]
-	r := s.Fabric.Routers[id]
-	r.AddInPort(s.LP.VCs, s.LP.InterfaceBufFlits)
-	r.AddOutPort()
 	n.Ports = append(n.Ports, Port{Dir: d, To: to, OffChip: true})
 }
 
@@ -115,9 +132,28 @@ func (s *System) addCrossPair(a, b int) {
 	}
 }
 
-// wire instantiates a link for every non-local port. Must be called exactly
-// once, after all ports exist.
+// wire instantiates every node's router and ports, then a link for every
+// non-local port. Must be called exactly once, after all ports exist.
+// Routers and their ports are created in node order, so the fabric's
+// slabs hold each chiplet's (and so each island's) components in one
+// contiguous run.
 func (s *System) wire() error {
+	f := s.Fabric
+	for id := range s.Nodes {
+		r := f.NewRouter(id)
+		for _, p := range s.Nodes[id].Ports {
+			switch {
+			case p.Dir == DirLocal:
+				r.AddInPort(1, injectQueueCap)
+			case p.OffChip:
+				r.AddInPort(s.LP.VCs, s.LP.InterfaceBufFlits)
+			default:
+				r.AddInPort(s.LP.VCs, s.LP.InternalBufFlits)
+			}
+			r.AddOutPort()
+		}
+		f.MakeEjection(r, 0, s.LP.VCs, s.LP.EjectBW)
+	}
 	for id := range s.Nodes {
 		n := &s.Nodes[id]
 		for pi, p := range n.Ports {
@@ -132,9 +168,9 @@ func (s *System) wire() error {
 			if p.OffChip {
 				bw, lat = s.LP.OffChipBW, s.LP.OffChipLatency
 			}
-			s.Fabric.ConnectPorts(
-				s.Fabric.Routers[id], pi,
-				s.Fabric.Routers[p.To], peerPort,
+			f.ConnectPorts(
+				f.Routers[id], pi,
+				f.Routers[p.To], peerPort,
 				bw, lat, p.OffChip)
 		}
 	}
