@@ -139,6 +139,23 @@ type campaign struct {
 	// disk I/O, and stalling heartbeat handling behind a slow disk would
 	// push live workers toward the lease TTL.
 	foldMu sync.Mutex
+	// progressMu orders progress calls. Folds run concurrently, so a
+	// count read under the coordinator mutex can reach the callback
+	// after a larger one; reported is the largest count passed on.
+	progressMu sync.Mutex
+	reported   int
+}
+
+// report passes done to the progress callback unless a concurrent fold
+// has already reported a larger count, so progress never goes backwards.
+func (camp *campaign) report(done, total int) {
+	camp.progressMu.Lock()
+	defer camp.progressMu.Unlock()
+	if done < camp.reported {
+		return
+	}
+	camp.reported = done
+	camp.progress(done, total)
 }
 
 func (camp *campaign) remainingLocked() int {
@@ -676,8 +693,8 @@ func (c *Coordinator) fold(worker, campaignID string, shard, lease int, deltas [
 		}
 		camp.completeLocked()
 	}
-	done, total, progress := camp.total-camp.remainingLocked(), camp.total, camp.progress
+	done, total := camp.total-camp.remainingLocked(), camp.total
 	c.mu.Unlock()
-	progress(done, total)
+	camp.report(done, total)
 	return added, stale, nil
 }
