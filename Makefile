@@ -100,9 +100,12 @@ fuzz:
 # its certificate and table addresses on the five 64-chiplet
 # build-compiled systems (TestLargeSystemCertificates), its report,
 # certificate and tables unchanged whatever the number of pass-1
-# destination blocks running at once (TestCertifyIndependentOfBlocks:
-# those systems, the pre-flight bounds, the negative fixtures,
-# truncation and panics), its escape-walk
+# destination blocks running at once and whether the destination-chiplet
+# memo is on (TestCertifyIndependentOfBlocks: those systems and a faulted
+# hypercube, the pre-flight bounds, the negative fixtures, truncation and
+# panics; the memo runs here under -race beside other blocks), the
+# property that memo relies on, pinned for every routing that declares
+# it (TestOffChipletInvariance), its escape-walk
 # findings on walks that share suffixes (TestEscapeWalkSharedSuffix), the
 # dependencies and panic point of a continuation only pass 2 asks
 # (TestDeadEndContinuation),
@@ -115,7 +118,7 @@ fuzz:
 # round-trip fuzz targets.
 test-dse:
 	$(GO) test -race ./internal/dse ./cmd/internal/cli
-	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|CertifyIndependentOfBlocks|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
+	$(GO) test -race -run 'VerifyEach|CertificateGolden|LargeSystemCertificates|CertifyIndependentOfBlocks|OffChipletInvariance|EscapeWalkShared|DeadEndContinuation|PinsHypercube2|CertificateDeterministic|Version|RoutingStructureKey' . ./internal/verify ./cmd/chipletverify
 	$(GO) test -race -run 'FuzzParetoFrontier|FuzzStoreLine' ./internal/dse
 
 # test-daemon runs the campaign-daemon matrix under the race detector:

@@ -335,16 +335,31 @@ func compiledShapes() []chipletnet.Topology {
 }
 
 // BenchmarkCertify times System.Certify under full analysis on each
-// build-compiled shape (Build runs with the timer stopped), so that
+// build-compiled shape and on hypercube(6) with a quarter of its cross
+// links failed (Build runs with the timer stopped), so that
 //
 //	go test -run '^$' -bench Certify -benchmem -cpuprofile cpu.out
 //
 // profiles the routing certifier alone.
 func BenchmarkCertify(b *testing.B) {
+	type shape struct {
+		topo   chipletnet.Topology
+		faults float64
+	}
+	var shapes []shape
 	for _, topo := range compiledShapes() {
-		b.Run(topo.String(), func(b *testing.B) {
+		shapes = append(shapes, shape{topo, 0})
+	}
+	shapes = append(shapes, shape{chipletnet.HypercubeTopology(6), 0.25})
+	for _, sh := range shapes {
+		name := sh.topo.String()
+		if sh.faults > 0 {
+			name += fmt.Sprintf("/faults_%g", sh.faults)
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := chipletnet.DefaultConfig()
-			cfg.Topology = topo
+			cfg.Topology = sh.topo
+			cfg.CrossLinkFaultFraction = sh.faults
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

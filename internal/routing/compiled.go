@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -21,48 +22,59 @@ import (
 // compiled by the same walk.
 //
 // Entry packing: bits 0-15 output port, 16-47 VC mask, 48 escape flag,
-// 49 credit-sortable flag. States are indexed (node*cores + dstIdx)*L +
-// tagClass with a CSR offsets array; an empty range means the traversal
-// never visited the state (it is unreachable for injected traffic) and the
-// lookup falls back to the interpreter.
+// 49 credit-sortable flag, 50 last candidate of its state. The layout
+// follows the traversal, which runs destination-major: states are indexed
+// (dstIdx*nodes + node)*L + tagClass, and each traversal block appends its
+// states' candidates, in the order it visits them, to its own chunks. at
+// locates a state's first candidate; a zero entry means the traversal
+// never visited the state (it is unreachable for injected traffic) and
+// the lookup falls back to the interpreter.
 type Table struct {
 	l      int     // interleave-tag equivalence classes (verify.TagClasses)
 	nCores int     // dense destination index width
 	dstIdx []int32 // node id -> dense core index, -1 for non-cores
-	// counts holds each state's candidate count. The streams write it
-	// without a lock: a state belongs to one traversal block, so each
-	// element has one writer.
-	counts  []uint32
-	streams []*tableStream // one per traversal block; build() turns them into CSR
 
-	offsets []uint32
-	packed  []uint64
+	// at holds, per state, 1 + the position of its first candidate among
+	// the candidates of the block that visited it (0: never visited).
+	// The streams write it without a lock: a state belongs to one
+	// traversal block, so each element has one writer.
+	at []uint32
+	// base holds, per dense destination index, the position in chunks at
+	// which the candidates of the block that visited its states start.
+	// While streaming it holds that block's stream index; build turns it
+	// into the position.
+	base []uint32
+	// chunks holds every candidate, tableChunkLen per chunk, the blocks'
+	// chunks one after the other; build appends them.
+	chunks  []*[tableChunkLen]uint64
+	streams []*tableStream // one per traversal block, until build
 }
 
-// tableStream accumulates one traversal block's states in traversal
+// tableStream collects one traversal block's candidates in traversal
 // order, in fixed-size chunks so that growing never re-copies what is
 // already there.
 type tableStream struct {
 	t      *Table
-	chunks []*tableChunk
-	n      int // candidates accumulated
+	id     uint32 // index among the table's streams
+	chunks []*[tableChunkLen]uint64
+	n      uint32 // candidates collected
 }
 
-// tableChunkLen is the number of candidates one accumulation chunk holds.
+// tableChunkLen is the number of candidates one chunk holds.
 const tableChunkLen = 1 << 14
 
-// tableChunk holds tableChunkLen accumulated candidates: each one's state
-// index and packed entry.
-type tableChunk struct {
-	state [tableChunkLen]uint32
-	cand  [tableChunkLen]uint64
-}
+const (
+	entryEscape   = 1 << 48
+	entrySortable = 1 << 49
+	entryLast     = 1 << 50
+)
 
 func newTable(sys *topology.System) *Table {
 	t := &Table{
 		l:      verify.TagClasses(sys),
 		nCores: len(sys.Cores),
 		dstIdx: make([]int32, len(sys.Nodes)),
+		base:   make([]uint32, len(sys.Cores)),
 	}
 	for i := range t.dstIdx {
 		t.dstIdx[i] = -1
@@ -70,21 +82,32 @@ func newTable(sys *topology.System) *Table {
 	for i, c := range sys.Cores {
 		t.dstIdx[c] = int32(i)
 	}
-	t.counts = make([]uint32, len(sys.Nodes)*t.nCores*t.l)
+	t.at = make([]uint32, len(sys.Nodes)*t.nCores*t.l)
 	return t
 }
 
 func (t *Table) stateIndex(node int, di int32, class int) int {
-	return (node*t.nCores+int(di))*t.l + class
+	return (int(di)*len(t.dstIdx)+node)*t.l + class
 }
 
-// Streams implements verify.StateSink: one accumulation stream per
-// traversal block.
+// first returns the position of the first candidate of state (node, di,
+// class) and whether the traversal visited the state.
+func (t *Table) first(node int, di int32, class int) (pos uint32, ok bool) {
+	o := t.at[t.stateIndex(node, di, class)]
+	return t.base[di] + o - 1, o != 0
+}
+
+// entry returns the candidate at position pos of chunks.
+func (t *Table) entry(pos uint32) uint64 {
+	return t.chunks[pos/tableChunkLen][pos%tableChunkLen]
+}
+
+// Streams implements verify.StateSink: one stream per traversal block.
 func (t *Table) Streams(k int) []verify.StateStream {
 	t.streams = make([]*tableStream, k)
 	out := make([]verify.StateStream, k)
 	for i := range out {
-		t.streams[i] = &tableStream{t: t}
+		t.streams[i] = &tableStream{t: t, id: uint32(i)}
 		out[i] = t.streams[i]
 	}
 	return out
@@ -93,78 +116,97 @@ func (t *Table) Streams(k int) []verify.StateStream {
 // State implements verify.StateStream: it records the raw candidate set
 // of one traversed routing state. Candidates beyond position nsort keep
 // their stored order at lookup; the first nsort are re-sorted by live
-// credits.
+// credits. An empty set is not recorded, which leaves the state to the
+// interpreter.
 func (s *tableStream) State(node, dst, tag int, cands []router.Candidate, nsort int) {
 	t := s.t
 	di := t.dstIdx[dst]
-	if di < 0 || tag < 0 || tag >= t.l {
+	if di < 0 || tag < 0 || tag >= t.l || len(cands) == 0 {
 		return
 	}
-	st := uint32(t.stateIndex(node, di, tag))
+	t.at[t.stateIndex(node, di, tag)] = s.n + 1
+	t.base[di] = s.id
 	for i, c := range cands {
 		e := uint64(uint16(c.Port)) | uint64(c.VCMask)<<16
 		if c.Escape {
-			e |= 1 << 48
+			e |= entryEscape
 		}
 		if i < nsort {
-			e |= 1 << 49
+			e |= entrySortable
+		}
+		if i == len(cands)-1 {
+			e |= entryLast
 		}
 		j := s.n % tableChunkLen
 		if j == 0 {
-			s.chunks = append(s.chunks, new(tableChunk))
+			s.chunks = append(s.chunks, new([tableChunkLen]uint64))
 		}
-		ch := s.chunks[len(s.chunks)-1]
-		ch.state[j], ch.cand[j] = st, e
+		s.chunks[len(s.chunks)-1][j] = e
 		s.n++
 	}
-	t.counts[st] += uint32(len(cands))
 }
 
-// build converts the accumulated streams into the CSR arrays and drops
-// the accumulation buffers. A state's candidates all come from one
-// stream, in their traversal order, so the arrays do not depend on how
-// the traversal was split into streams.
+// build lays the streams' chunks end to end and points every destination
+// at the start of its stream's. A state's candidates all come from one
+// stream, in their traversal order, so what a lookup reads does not
+// depend on how the traversal was split into streams.
 func (t *Table) build() {
-	t.offsets = make([]uint32, len(t.counts)+1)
-	total := uint32(0)
-	for i, c := range t.counts {
-		t.offsets[i] = total
-		total += c
+	starts := make([]uint32, len(t.streams))
+	for i, s := range t.streams {
+		starts[i] = uint32(len(t.chunks)) * tableChunkLen
+		t.chunks = append(t.chunks, s.chunks...)
 	}
-	t.offsets[len(t.counts)] = total
-	t.packed = make([]uint64, total)
-	cursor := t.counts // the counts are summed into offsets; reuse them
-	copy(cursor, t.offsets[:len(t.counts)])
-	for _, s := range t.streams {
-		for i := 0; i < s.n; i++ {
-			ch := s.chunks[i/tableChunkLen]
-			st := ch.state[i%tableChunkLen]
-			t.packed[cursor[st]] = ch.cand[i%tableChunkLen]
-			cursor[st]++
-		}
+	for di, id := range t.base {
+		t.base[di] = starts[id]
 	}
-	t.counts, t.streams = nil, nil
+	t.streams = nil
 }
 
 // Hash is the table's content address: the hex SHA-256 over its dimensions
-// and flat arrays. Certified tables are content-addressed alongside the
-// DSE cache key, so identical routing behavior dedupes to one address.
+// and over the node-major CSR form of its states — per state, indexed
+// (node*cores + dstIdx)*L + tagClass, the offset of its first candidate,
+// then the total, then every candidate in that order without its
+// last-candidate flag. The address does not depend on the in-memory
+// layout. Certified tables are content-addressed alongside the DSE cache
+// key, so identical routing behavior dedupes to one address.
 func (t *Table) Hash() string {
 	h := sha256.New()
+	w := bufio.NewWriterSize(h, 1<<16)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(t.l))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(t.nCores))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(t.dstIdx)))
-	h.Write(hdr[:])
-	var w [8]byte
-	for _, o := range t.offsets {
-		binary.LittleEndian.PutUint32(w[:4], o)
-		h.Write(w[:4])
+	w.Write(hdr[:])
+	states := func(f func(pos uint32, ok bool)) {
+		for node := range t.dstIdx {
+			for di := range int32(t.nCores) {
+				for class := range t.l {
+					f(t.first(node, di, class))
+				}
+			}
+		}
 	}
-	for _, e := range t.packed {
-		binary.LittleEndian.PutUint64(w[:], e)
-		h.Write(w[:])
-	}
+	var b [8]byte
+	offset := uint32(0)
+	states(func(pos uint32, ok bool) {
+		binary.LittleEndian.PutUint32(b[:4], offset)
+		w.Write(b[:4])
+		for ; ok; pos++ {
+			offset++
+			ok = t.entry(pos)&entryLast == 0
+		}
+	})
+	binary.LittleEndian.PutUint32(b[:4], offset)
+	w.Write(b[:4])
+	states(func(pos uint32, ok bool) {
+		for ; ok; pos++ {
+			e := t.entry(pos)
+			binary.LittleEndian.PutUint64(b[:], e&^entryLast)
+			w.Write(b[:])
+			ok = e&entryLast == 0
+		}
+	})
+	w.Flush()
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -239,24 +281,25 @@ func (c *Compiled) Candidates(r *router.Router, inPort int, p *packet.Packet, bu
 	if di < 0 {
 		return c.inner.Candidates(r, inPort, p, buf)
 	}
-	class := interleave.Index(c.t.l, p.Tag)
-	s := c.t.stateIndex(v, di, class)
-	lo, hi := c.t.offsets[s], c.t.offsets[s+1]
-	if lo == hi {
+	pos, ok := c.t.first(v, di, interleave.Index(c.t.l, p.Tag))
+	if !ok {
 		return c.inner.Candidates(r, inPort, p, buf)
 	}
 	base := len(buf)
 	nsort := 0
-	for i := lo; i < hi; i++ {
-		e := c.t.packed[i]
-		if e&(1<<49) != 0 && int(i-lo) == nsort {
+	for ; ; pos++ {
+		e := c.t.entry(pos)
+		if e&entrySortable != 0 && len(buf)-base == nsort {
 			nsort++
 		}
 		buf = append(buf, router.Candidate{
 			Port:   int(e & 0xffff),
 			VCMask: uint32(e >> 16),
-			Escape: e&(1<<48) != 0,
+			Escape: e&entryEscape != 0,
 		})
+		if e&entryLast != 0 {
+			break
+		}
 	}
 	if nsort > 1 {
 		sortByCreditScore(r, buf[base:base+nsort])

@@ -772,6 +772,14 @@ func (m *mfr) EscapeStep(v int, p *packet.Packet) (next, vc int, ok bool) {
 // windows and rely on Algorithm 5 instead).
 func (m *mfr) EscapeRequired() bool { return m.mode == DuatoEscape }
 
+// RoutesByChiplet declares verify.ChipletRouter: MFR among chiplets
+// (Algorithms 2 and 4) picks the exit plan from the current and the
+// destination chiplet and the interleave tag, never from the destination
+// node, so off the destination chiplet both the candidate set and the
+// escape step depend on the destination only through its chiplet.
+// TestOffChipletInvariance checks this on every topology family.
+func (m *mfr) RoutesByChiplet() bool { return true }
+
 // ExitGroup returns the interface group packet p leaves chiplet cv
 // through, or ok=false when cv already is the destination chiplet. The
 // fault engine uses it to detect in-flight packets still committed to a

@@ -10,6 +10,11 @@ import (
 // the block count.
 var forcedBlocks int
 
+// noChipletMemo turns the destination-chiplet memo (memoFor) off whatever
+// the routing declares. Only tests set it, to show that the report does
+// not depend on the memo.
+var noChipletMemo bool
+
 // pass1 runs pass 1 over k = min(GOMAXPROCS, destinations) contiguous
 // blocks of g.dests, each on its own goroutine and its own analyzer, and
 // merges them in block order into block 0's, which reports into rep and
@@ -81,7 +86,9 @@ func pass1(g *grid, rep *Report) *analyzer {
 func (a *analyzer) runBlock(lo, hi int) {
 	defer func() { a.pv = recover() }()
 	a.nround = int32(lo * len(a.tags))
-	for _, dst := range a.dests[lo:hi] {
+	for i := lo; i < hi; i++ {
+		dst := a.dests[i]
+		a.memoFor(i, hi)
 		for _, tag := range a.tags {
 			a.round(dst, tag)
 		}

@@ -37,15 +37,25 @@ type blockOutput struct {
 	cert, table string
 }
 
-// TestCertifyIndependentOfBlocks: pass 1 split into k destination blocks
-// must report exactly what the single block reports, for k of 1, 2, 3, 5
-// and more than there are destinations — on the five 64-chiplet
-// build-compiled systems under full analysis (certificate and compiled
-// tables) and under the DSE pre-flight bounds, on the negative fixtures
-// (equal-channel nD-mesh cycle, hypercube-2 livelock, a continuation only
-// pass 2 asks), on witness truncation spread over many rounds, on escape
-// channels off the link grid, and on routings that panic in pass 1 or in
-// pass 2.
+// TestCertifyIndependentOfBlocks: pass 1 split into k destination blocks,
+// with the destination-chiplet memo on or off, must report exactly what
+// the single block without the memo reports, for k of 1, 2, 3, 5 and more
+// than there are destinations — on the five 64-chiplet build-compiled
+// systems and a faulted hypercube under full analysis (certificate and
+// compiled tables) and under the DSE pre-flight bounds, on the negative
+// fixtures (equal-channel nD-mesh cycle, hypercube-2 livelock, a
+// continuation only pass 2 asks), on witness truncation spread over many
+// rounds, on escape channels off the link grid, and on routings that
+// panic in pass 1 or in pass 2. The 64-chiplet systems have 4 cores per
+// chiplet, so at k = 3 and k = 5 a block boundary (destination 85 and 51
+// of 256) splits one chiplet's destinations between two blocks, and at
+// k above the destination count no block has two destinations of one
+// chiplet, which leaves the memo unused.
+//
+// Each of these mutations of the memo (verify.go, memoFor and offMemo)
+// fails this test: not resetting the memo when the destination chiplet
+// changes; keying it by node without the tag class; using it at nodes
+// inside the destination chiplet.
 func TestCertifyIndependentOfBlocks(t *testing.T) {
 	type tc struct {
 		name string
@@ -58,27 +68,37 @@ func TestCertifyIndependentOfBlocks(t *testing.T) {
 			return blockOutput{rep: rep, cert: rep.Certificate().Hash()}
 		}
 	}
-	for _, topo := range []chipletnet.Topology{
-		chipletnet.MeshTopology(8, 8),
-		chipletnet.NDMeshTopology(4, 4, 4),
-		chipletnet.HypercubeTopology(6),
-		chipletnet.DragonflyTopology(12),
-		chipletnet.TreeTopology(64, 4),
+	for _, sh := range []struct {
+		topo   chipletnet.Topology
+		faults float64
+	}{
+		{chipletnet.MeshTopology(8, 8), 0},
+		{chipletnet.NDMeshTopology(4, 4, 4), 0},
+		{chipletnet.HypercubeTopology(6), 0},
+		{chipletnet.HypercubeTopology(6), 0.25},
+		{chipletnet.DragonflyTopology(12), 0},
+		{chipletnet.TreeTopology(64, 4), 0},
 	} {
+		topo := sh.topo
 		cfg := chipletnet.DefaultConfig()
 		cfg.Topology = topo
+		cfg.CrossLinkFaultFraction, cfg.Seed = sh.faults, 7
 		sys, err := chipletnet.Build(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", topo, err)
 		}
-		cases = append(cases, tc{topo.String() + "|compile", func() blockOutput {
+		name := topo.String()
+		if sh.faults > 0 {
+			name += "-faults"
+		}
+		cases = append(cases, tc{name + "|compile", func() blockOutput {
 			comp, rep, err := routing.Compile(sys.Topo)
 			if err != nil {
 				t.Fatalf("%v: compile: %v", topo, err)
 			}
 			return blockOutput{rep: rep, cert: rep.Certificate().Hash(), table: comp.TableHash()}
 		}})
-		cases = append(cases, tc{topo.String() + "|preflight",
+		cases = append(cases, tc{name + "|preflight",
 			analyze(sys.Topo, verify.Options{MaxDests: 16, MaxSources: 8})})
 	}
 
@@ -144,25 +164,34 @@ func TestCertifyIndependentOfBlocks(t *testing.T) {
 	}
 
 	for _, c := range cases {
+		restoreMemo := verify.SetChipletMemo(false)
 		restore := verify.SetBlocks(1)
 		want := c.run()
 		restore()
+		restoreMemo()
 		if strings.Contains(c.name, "panic") != (want.rep.Panic != "") {
 			t.Errorf("%s: panic %q", c.name, want.rep.Panic)
 		}
 		if strings.Contains(c.name, "1-witness") && want.rep.Truncated == 0 {
 			t.Errorf("%s: nothing truncated", c.name)
 		}
-		for _, k := range []int{2, 3, 5, 1 << 20} {
-			restore := verify.SetBlocks(k)
-			got := c.run()
-			restore()
-			if !reflect.DeepEqual(got.rep, want.rep) {
-				t.Errorf("%s: %d blocks report\n%s\nwant (1 block)\n%s", c.name, k, got.rep, want.rep)
-			}
-			if got.cert != want.cert || got.table != want.table {
-				t.Errorf("%s: %d blocks certificate %s table %s, want %s and %s",
-					c.name, k, got.cert, got.table, want.cert, want.table)
+		for _, memo := range []bool{false, true} {
+			for _, k := range []int{1, 2, 3, 5, 1 << 20} {
+				if !memo && k == 1 {
+					continue
+				}
+				restoreMemo := verify.SetChipletMemo(memo)
+				restore := verify.SetBlocks(k)
+				got := c.run()
+				restore()
+				restoreMemo()
+				if !reflect.DeepEqual(got.rep, want.rep) {
+					t.Errorf("%s: %d blocks, memo %v report\n%s\nwant (1 block, no memo)\n%s", c.name, k, memo, got.rep, want.rep)
+				}
+				if got.cert != want.cert || got.table != want.table {
+					t.Errorf("%s: %d blocks, memo %v certificate %s table %s, want %s and %s",
+						c.name, k, memo, got.cert, got.table, want.cert, want.table)
+				}
 			}
 		}
 	}

@@ -7,3 +7,11 @@ func SetBlocks(k int) (restore func()) {
 	forcedBlocks = k
 	return func() { forcedBlocks = prev }
 }
+
+// SetChipletMemo turns the destination-chiplet memo on (the default: as
+// the routing declares) or off, until restore is called.
+func SetChipletMemo(on bool) (restore func()) {
+	prev := noChipletMemo
+	noChipletMemo = !on
+	return func() { noChipletMemo = prev }
+}

@@ -61,6 +61,10 @@
 // time the round asks, so EscapeStep is called on the same states in the
 // same order as without the memo (and a panicking state panics at the
 // same point), and memoizes the escape walk per node (checkEscapeWalk).
+// When the routing is a ChipletRouter, each block also memoizes, for the
+// destination chiplet its rounds are in, the candidate set and escape step
+// of every (node, tag class) off that chiplet (memoFor): the consecutive
+// destinations of one chiplet ask the routing function there once.
 // Channels are interned to dense int32 ids (pair id times the VC count
 // plus the VC), so C1, the CDG adjacency and cycle search run on slices;
 // ids turn back into Channel values only in witnesses, and traversal, DFS
@@ -108,6 +112,19 @@ type EscapeAnalyzer interface {
 // EscapeStep, it is called from several goroutines at once.
 type RawCandidater interface {
 	RawCandidates(r *router.Router, p *packet.Packet, buf []router.Candidate) ([]router.Candidate, int)
+}
+
+// ChipletRouter is the optional interface of a routing that steers a
+// packet by its destination's chiplet until the packet reaches that
+// chiplet. RoutesByChiplet returning true declares that at every node
+// outside the destination's chiplet the candidate set (RawCandidates, or
+// Candidates without it) and EscapeStep depend on the destination only
+// through its chiplet, a panic counting as an answer. Run then asks the
+// routing once per such (node, tag class) and destination chiplet instead
+// of once per destination. A routing that looks at the destination node
+// before reaching its chiplet must not declare it.
+type ChipletRouter interface {
+	RoutesByChiplet() bool
 }
 
 // StateSink receives every routing state the certifying traversal visits.
@@ -201,7 +218,8 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 	if rep.EscapeRequired {
 		a.replay()
 	} else {
-		for _, dst := range a.dests {
+		for i, dst := range a.dests {
+			a.memoFor(i, len(a.dests))
 			for _, tag := range a.tags {
 				a.emitWalkDeps(dst, tag)
 			}
@@ -224,6 +242,9 @@ type grid struct {
 	opt     Options
 	routers []*router.Router // indexed by global node id
 	chiplet []int32          // node -> chiplet index
+	// byChiplet: the routing declares ChipletRouter, so the blocks may
+	// memoize its answers off the destination chiplet (memoFor).
+	byChiplet bool
 
 	dests, sources, tags []int
 
@@ -309,6 +330,16 @@ type roundScratch struct {
 	// hops collects the current round's link hops (see record).
 	hops []linkHop
 
+	// The destination-chiplet memo (see memoFor): while memoOn, memo holds
+	// per (node, tag class) the routing's answers at the nodes off
+	// chiplet memoChip, each valid while its stamp equals memoGen, and
+	// memoCands the memoized candidate sets back to back.
+	memoOn    bool
+	memoChip  int32
+	memoGen   uint32
+	memo      []offState
+	memoCands []router.Candidate
+
 	visited []bool
 	mark    []bool
 	queue   []int
@@ -325,6 +356,19 @@ type roundScratch struct {
 // node leading to the same node).
 type pairInfo struct {
 	far, vcs, first int32
+}
+
+// offState is what the destination-chiplet memo keeps of one (node, tag
+// class) state off the destination chiplet: its candidate set
+// memoCands[lo:hi] with the sortable prefix length nsort, valid while
+// candGen is the analyzer's memoGen, and its escape step (ok, next, vc
+// and the step's channel id ch, -1 when its VC is out of range), valid
+// while escGen is.
+type offState struct {
+	candGen, escGen uint32
+	lo, hi, nsort   int32
+	next, vc, ch    int32
+	ok              bool
 }
 
 // linkHop is one link hop of a pass-1 round: the pair its channels are
@@ -372,6 +416,9 @@ func newGrid(sys *topology.System, rt EscapeAnalyzer, raw RawCandidater, opt Opt
 	}
 	for _, r := range sys.Fabric.Routers {
 		g.routers[r.Node] = r
+	}
+	if cr, ok := rt.(ChipletRouter); ok && !noChipletMemo {
+		g.byChiplet = cr.RoutesByChiplet()
 	}
 	for v := range sys.Nodes {
 		g.chiplet[v] = int32(sys.Nodes[v].Chiplet)
@@ -476,12 +523,67 @@ func (a *analyzer) channel(id int32) Channel {
 	return Channel{int(from), a.sys.Nodes[from].Ports[pr-a.pairBase[from]].To, int(vc)}
 }
 
-// startRound resets the escape memo for a new (destination, tag) round and
-// returns the round's probe packet.
-func (a *analyzer) startRound(dst, tag int) *packet.Packet {
+// startRound resets the escape memo and the probe packet for a new
+// (destination, tag) round.
+func (a *analyzer) startRound(dst, tag int) {
 	clear(a.escState)
 	a.pkt = packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
-	return &a.pkt
+}
+
+// memoFor sets the destination-chiplet memo up for the rounds of
+// destination dests[i], whose traversal goes on to dests[i+1] if i+1 < hi.
+// The memo is kept while the destination chiplet stays the same and is
+// reset when it changes; it is only filled when the routing declares
+// ChipletRouter and the chiplet's next destination follows in the same
+// traversal, so a traversal that samples one destination per chiplet
+// pays nothing for it.
+func (a *analyzer) memoFor(i, hi int) {
+	c := a.chiplet[a.dests[i]]
+	if a.memoOn && a.memoChip == c {
+		return
+	}
+	a.memoOn = a.byChiplet && i+1 < hi && a.chiplet[a.dests[i+1]] == c
+	if !a.memoOn {
+		return
+	}
+	if a.memo == nil {
+		a.memo = make([]offState, len(a.sys.Nodes)*len(a.tags))
+	}
+	a.memoChip = c
+	a.memoGen++
+	a.memoCands = a.memoCands[:0]
+}
+
+// offMemo returns the memo entry of the round's state at v, or nil when
+// the memo is off or v lies in the destination chiplet. Tags are their
+// own class indexes (tagSet).
+func (a *analyzer) offMemo(v int) *offState {
+	if !a.memoOn || a.chiplet[v] == a.memoChip {
+		return nil
+	}
+	return &a.memo[v*len(a.tags)+a.pkt.Tag]
+}
+
+// candidates returns the round's raw candidate set at v and the length of
+// its credit-sortable prefix, from the destination-chiplet memo when it
+// holds them. The slice is valid until the next call.
+func (a *analyzer) candidates(v int) ([]router.Candidate, int) {
+	m := a.offMemo(v)
+	if m != nil && m.candGen == a.memoGen {
+		return a.memoCands[m.lo:m.hi], int(m.nsort)
+	}
+	nsort := 0
+	if a.raw != nil {
+		a.cands, nsort = a.raw.RawCandidates(a.routers[v], &a.pkt, a.cands[:0])
+	} else {
+		a.cands = a.rt.Candidates(a.routers[v], 0, &a.pkt, a.cands[:0])
+	}
+	if m != nil {
+		m.candGen, m.lo, m.nsort = a.memoGen, int32(len(a.memoCands)), int32(nsort)
+		a.memoCands = append(a.memoCands, a.cands...)
+		m.hi = int32(len(a.memoCands))
+	}
+	return a.cands, nsort
 }
 
 // escape returns the escape step of the round's packet at v. The routing
@@ -495,16 +597,33 @@ func (a *analyzer) escape(v int) (next, vc int, ok bool) {
 	case escNone:
 		return 0, 0, false
 	}
-	next, vc, ok = a.rt.EscapeStep(v, &a.pkt)
+	var ch int32
+	next, vc, ok, ch = a.escapeStep(v)
 	if !ok {
 		a.escState[v] = escNone
 		return next, vc, ok
 	}
-	a.escState[v], a.escNext[v], a.escVC[v], a.escCh[v] = escOK, next, vc, -1
-	if vc >= 0 && vc < a.sys.LP.VCs {
-		a.escCh[v] = a.intern(v, next, vc)
-	}
+	a.escState[v], a.escNext[v], a.escVC[v], a.escCh[v] = escOK, next, vc, ch
 	return next, vc, ok
+}
+
+// escapeStep asks the routing for the escape step at v, or takes it from
+// the destination-chiplet memo, with the step's channel id (-1 when its
+// VC is out of range).
+func (a *analyzer) escapeStep(v int) (next, vc int, ok bool, ch int32) {
+	m := a.offMemo(v)
+	if m != nil && m.escGen == a.memoGen {
+		return int(m.next), int(m.vc), m.ok, m.ch
+	}
+	next, vc, ok = a.rt.EscapeStep(v, &a.pkt)
+	ch = -1
+	if ok && vc >= 0 && vc < a.sys.LP.VCs {
+		ch = a.intern(v, next, vc)
+	}
+	if m != nil {
+		m.escGen, m.ok, m.next, m.vc, m.ch = a.memoGen, ok, int32(next), int32(vc), ch
+	}
+	return next, vc, ok, ch
 }
 
 // round runs pass 1 of one (destination, tag) round: a BFS over the
@@ -512,7 +631,7 @@ func (a *analyzer) escape(v int) (next, vc int, ok bool) {
 // per-round checks. Under Duato's protocol it also appends the round's
 // link hops to the record pass 2 replays (see replay).
 func (a *analyzer) round(dst, tag int) {
-	p := a.startRound(dst, tag)
+	a.startRound(dst, tag)
 	n := len(a.sys.Nodes)
 	for i := 0; i < n; i++ {
 		a.visited[i] = false
@@ -535,20 +654,14 @@ func (a *analyzer) round(dst, tag int) {
 		if v == dst {
 			continue // delivered: no further channel requests
 		}
-		r := a.routers[v]
-		nsort := 0
-		if a.raw != nil {
-			a.cands, nsort = a.raw.RawCandidates(r, p, a.cands[:0])
-		} else {
-			a.cands = a.rt.Candidates(r, 0, p, a.cands[:0])
-		}
-		if len(a.cands) == 0 {
+		cands, nsort := a.candidates(v)
+		if len(cands) == 0 {
 			a.addDeadEnd(StateRef{v, dst, tag})
 			continue
 		}
 		a.rep.States++
 		if a.sink != nil {
-			a.sink.State(v, dst, tag, a.cands, nsort)
+			a.sink.State(v, dst, tag, cands, nsort)
 		}
 		if _, evc, eok := a.escape(v); eok {
 			if evc < 0 || evc >= vcs {
@@ -562,7 +675,7 @@ func (a *analyzer) round(dst, tag int) {
 			a.addMissingEscape(StateRef{v, dst, tag})
 		}
 		ports := a.pairs[a.pairBase[v]:a.pairBase[v+1]]
-		for _, c := range a.cands {
+		for _, c := range cands {
 			pi := ports[c.Port]
 			if pi.far < 0 {
 				a.addVCViolation(fmt.Sprintf("ejection candidate away from destination at %v",
